@@ -369,6 +369,16 @@ mod tests {
     use crate::sim::{SimConfig, Simulator};
     use svsim_types::SvRng;
 
+    #[test]
+    fn bind_rejects_non_finite_values() {
+        let t = template();
+        for bad in [f64::NAN, f64::INFINITY] {
+            let mut values = vec![0.3; t.n_vars()];
+            values[2] = bad;
+            assert!(matches!(t.bind(&values), Err(SvError::Numeric(_))));
+        }
+    }
+
     /// A little variational ansatz exercising every patchable gate kind.
     fn template() -> ParamCircuit {
         let mut t = ParamCircuit::new(4);

@@ -1,17 +1,18 @@
 //! Circuit executors: single-device, scale-up, and scale-out.
 //!
-//! All three walk the same step stream with the same kernels; they differ
-//! only in the memory fabric ([`crate::view`]) and the synchronization
-//! between gates — none for a single device, a shared-memory barrier across
-//! device threads for scale-up (the cooperative multi-grid sync of
-//! Listing 4), and `shmem_barrier_all` across PEs for scale-out
-//! (Listing 5).
+//! All three run one step walker over the same step stream with the same
+//! kernels; they differ only in the memory fabric ([`crate::view`]) and the
+//! synchronization between gates — none for a single device (worker 0 of
+//! 1, in place on the state vector), a shared-memory barrier across device
+//! threads for scale-up (the cooperative multi-grid sync of Listing 4), and
+//! `shmem_barrier_all` across PEs for scale-out (Listing 5).
 
 use crate::compile::{compile_gate, CompiledGate};
 use crate::dispatch::{resolve, KernelFn};
 use crate::kernels::worker_range;
 use crate::measure;
-use crate::plan::{build_segment, PlanSegment};
+use crate::plan::{build_segment, remap_pes, PlanSegment};
+use crate::sim::{BackendKind, SimConfig};
 use crate::state::StateVector;
 use crate::view::{LocalView, PeerView, ShmemView, StateView};
 use std::sync::Arc;
@@ -135,128 +136,10 @@ fn cond_holds(cbits: u64, lo: u32, len: u32, value: u64) -> bool {
     ((cbits >> lo) & mask) == value
 }
 
-/// Run on a single device (sequential, full ranges). `initial_cbits`
-/// carries the classical register across checkpoint segments (0 for a
-/// whole-circuit run). `seg` supplies a precompiled lowering of `ops`
-/// (from a [`crate::CompiledPlan`]); `None` lowers on the fly.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_single(
-    state: &mut StateVector,
-    ops: &[Op],
-    specialized: bool,
-    dispatch: DispatchMode,
-    rng: &mut SvRng,
-    initial_cbits: u64,
-    fuse: u8,
-    seg: Option<&PlanSegment>,
-) -> SvResult<u64> {
-    let n = state.n_qubits();
-    let half = (1u64 << n) / 2;
-    let owned;
-    let seg = match seg {
-        Some(s) => s,
-        None => {
-            owned = build_segment(ops, 0, ops.len(), n, specialized, 0, fuse);
-            &owned
-        }
-    };
-    let (steps, queue) = (&seg.steps, &seg.queue);
-    let mut cbits = initial_cbits;
-    let (re, im) = state.parts_mut();
-    let view = LocalView::new(re, im);
-    // The fn-pointer path binds every kernel pointer once, up front — the
-    // analog of preloading the device-function symbols; one flat pointer
-    // table parallel to the flat compiled queue, nothing copied per gate.
-    let uploaded: Vec<KernelFn<LocalView>> = if dispatch == DispatchMode::PreloadedFnPointer {
-        queue.iter().map(|c| resolve::<LocalView>(c.id)).collect()
-    } else {
-        Vec::new()
-    };
-    let mut scratch: Vec<CompiledGate> = Vec::new();
-    let measure_into = |view: &LocalView, qubit: u32, r: f64| -> SvResult<u8> {
-        // Canonical-tree sum (svsim_types::numeric): bit-identical to the
-        // partitioned backends' partial + pairwise reduce at any PE count.
-        let p1 = measure::prob_one_view(view, qubit, 1u64 << n);
-        let outcome = u8::from(r < p1);
-        let p = if outcome == 1 { p1 } else { 1.0 - p1 };
-        if p < 1e-300 {
-            return Err(SvError::Numeric(format!(
-                "collapse of qubit {qubit} with probability ~0"
-            )));
-        }
-        crate::kernels::collapse_pairs(view, qubit, outcome, 1.0 / p.sqrt(), 0..half);
-        Ok(outcome)
-    };
-    for step in steps {
-        match step {
-            Step::Gate { raw, compiled } | Step::IfEq { raw, compiled, .. } => {
-                if let Step::IfEq {
-                    creg_lo,
-                    creg_len,
-                    value,
-                    ..
-                } = step
-                {
-                    if !cond_holds(cbits, *creg_lo, *creg_len, *value) {
-                        continue;
-                    }
-                }
-                match dispatch {
-                    DispatchMode::PreloadedFnPointer => {
-                        for k in compiled.clone() {
-                            let cg = &queue[k];
-                            uploaded[k](&view, &cg.args, 0..cg.args.work);
-                        }
-                    }
-                    DispatchMode::RuntimeParse => {
-                        scratch.clear();
-                        compile_gate(raw, n, specialized, &mut scratch);
-                        for cg in &scratch {
-                            resolve::<LocalView>(cg.id)(&view, &cg.args, 0..cg.args.work);
-                        }
-                    }
-                }
-            }
-            Step::Fused { raws, compiled } => match dispatch {
-                DispatchMode::PreloadedFnPointer => {
-                    for k in compiled.clone() {
-                        let cg = &queue[k];
-                        uploaded[k](&view, &cg.args, 0..cg.args.work);
-                    }
-                }
-                DispatchMode::RuntimeParse => {
-                    for raw in raws {
-                        scratch.clear();
-                        compile_gate(raw, n, specialized, &mut scratch);
-                        for cg in &scratch {
-                            resolve::<LocalView>(cg.id)(&view, &cg.args, 0..cg.args.work);
-                        }
-                    }
-                }
-            },
-            Step::Measure { qubit, cbit, .. } => {
-                let r = rng.next_f64();
-                let outcome = measure_into(&view, *qubit, r)?;
-                cbits = (cbits & !(1u64 << cbit)) | (u64::from(outcome) << cbit);
-            }
-            Step::Reset { qubit, .. } => {
-                let r = rng.next_f64();
-                let outcome = measure_into(&view, *qubit, r)?;
-                if outcome == 1 {
-                    let mut xg = Vec::new();
-                    compile_gate(
-                        &Gate::new(GateKind::X, &[*qubit], &[]).expect("x"),
-                        n,
-                        true,
-                        &mut xg,
-                    );
-                    resolve::<LocalView>(xg[0].id)(&view, &xg[0].args, 0..xg[0].args.work);
-                }
-            }
-        }
-    }
-    Ok(cbits)
-}
+/// What one backend dispatch hands back: classical bits, per-PE traffic
+/// snapshots, dynamic race reports, relabeling-exchange count, and
+/// in-place respawn count.
+pub(crate) type LaunchOutput = (u64, Vec<TrafficSnapshot>, Vec<RaceReport>, usize, usize);
 
 /// Validate a worker count for a given register width.
 fn check_workers(n_workers: usize, n_qubits: u32, what: &str) -> SvResult<()> {
@@ -273,17 +156,98 @@ fn check_workers(n_workers: usize, n_qubits: u32, what: &str) -> SvResult<()> {
     Ok(())
 }
 
+/// One launch of a lowered segment: everything the workers of any backend
+/// share, built once per dispatch by [`launch`].
+struct Launch<'a> {
+    seg: &'a PlanSegment,
+    /// Measurement/reset randoms, pre-drawn so every worker sees the same
+    /// stream.
+    randoms: Vec<f64>,
+    n_qubits: u32,
+    n_workers: usize,
+    specialized: bool,
+    dispatch: DispatchMode,
+    initial_cbits: u64,
+}
+
+/// Run `ops` on the backend `cfg` selects. `initial_cbits` carries the
+/// classical register across checkpoint segments (0 for a whole-circuit
+/// run); `seg` supplies a precompiled lowering of `ops` (from a
+/// [`crate::CompiledPlan`]), `None` lowers on the fly; `faults` is the
+/// scale-out fault plan.
+pub(crate) fn launch(
+    state: &mut StateVector,
+    ops: &[Op],
+    cfg: &SimConfig,
+    faults: Option<Arc<FaultPlan>>,
+    rng: &mut SvRng,
+    initial_cbits: u64,
+    seg: Option<&PlanSegment>,
+) -> SvResult<LaunchOutput> {
+    let n = state.n_qubits();
+    let (n_workers, what) = match cfg.backend {
+        BackendKind::SingleDevice => (1, "device"),
+        BackendKind::ScaleUp { n_devices } => (n_devices, "device"),
+        BackendKind::ScaleOut { n_pes } => (n_pes, "PE"),
+    };
+    check_workers(n_workers, n, what)?;
+    let owned;
+    let seg = match seg {
+        Some(s) => s,
+        None => {
+            owned = build_segment(
+                ops,
+                0,
+                ops.len(),
+                n,
+                cfg.specialized,
+                remap_pes(cfg),
+                cfg.fuse,
+            );
+            &owned
+        }
+    };
+    let l = Launch {
+        seg,
+        randoms: (0..seg.n_rand).map(|_| rng.next_f64()).collect(),
+        n_qubits: n,
+        n_workers,
+        specialized: cfg.specialized,
+        dispatch: cfg.dispatch,
+        initial_cbits,
+    };
+    match cfg.backend {
+        BackendKind::SingleDevice => {
+            // Worker 0 of 1, in place on the state vector: no partition
+            // copy, a no-op sync and an identity reduce.
+            let (re, im) = state.parts_mut();
+            let view = LocalView::new(re, im);
+            let cbits = l.walk(&view, &view, 0, &no_exchange, &|| {}, &|_, p| p)?;
+            Ok((cbits, Vec::new(), Vec::new(), 0, 0))
+        }
+        BackendKind::ScaleUp { .. } => {
+            let (cbits, traffic) = run_scaleup(state, &l)?;
+            Ok((cbits, traffic, Vec::new(), 0, 0))
+        }
+        BackendKind::ScaleOut { .. } => run_scaleout(state, &l, cfg, faults),
+    }
+}
+
+fn no_exchange(_: u32, _: u32) {
+    unreachable!("relabeling exchanges run on the scale-out path only")
+}
+
 /// Per-partition measurement partial plus the reduce slot and physical
-/// qubit for the collapse. Under a block-preserving snapshot layout
-/// (`lay`) the partition holds the logical subcube whose top value indexes
-/// the reduce slot, and the partial walks it in logical order so the
-/// probability tree is the single-device logical tree bit-for-bit; without
-/// a snapshot the layout is identity and the slot is the worker rank.
-#[allow(clippy::too_many_arguments)]
-fn measure_partial(
+/// qubit for the collapse. `mine` is the worker's own partition, whose
+/// first global index is `my_base`. Under a block-preserving snapshot
+/// layout (`lay`) the partition holds the logical subcube whose top value
+/// indexes the reduce slot, and the partial walks it in logical order so
+/// the probability tree is the single-device logical tree bit-for-bit;
+/// without a snapshot the layout is identity and the slot is the worker
+/// rank.
+fn measure_partial<M: StateView>(
     lay: Option<&crate::remap::QubitLayout>,
-    my_re: &SharedF64Vec,
-    my_im: &SharedF64Vec,
+    mine: &M,
     my_base: u64,
     worker: u64,
     n_workers: u64,
@@ -299,234 +263,167 @@ fn measure_partial(
             }
             let logical_base = (slot as u64) << boundary;
             let low_pos: Vec<u32> = (0..boundary).map(|k| lay.phys(k)).collect();
-            let partial =
-                measure::partial_prob_one_mapped(my_re, my_im, logical_base, &low_pos, qubit);
+            let partial = measure::partial_prob_one_mapped(mine, logical_base, &low_pos, qubit);
             (partial, slot, lay.phys(qubit))
         }
         None => (
-            measure::partial_prob_one_partition(my_re, my_im, my_base, qubit),
+            measure::partial_prob_one(mine, my_base, qubit),
             worker as usize,
             qubit,
         ),
     }
 }
 
-/// Shared gate/step walker for the partitioned backends. `sync` is called
-/// between dependent kernels; `reduce` turns a local probability
-/// contribution (deposited at a caller-chosen scratch slot) into the
-/// global one.
-///
-/// `pre_swaps` (aligned 1:1 with `steps`; empty for a naive schedule)
-/// lists the relabeling slab exchanges to run *before* each step, realized
-/// collectively through `exchange`. Relabeling is unconditional even for
-/// conditional steps — it is pure data movement, and all workers must
-/// reach the exchange barriers together.
-///
-/// `measure_layouts` (aligned 1:1 with `steps` when non-empty) carries the
-/// planner's block-preserving layout snapshot at each Measure/Reset, whose
-/// `qubit` is then LOGICAL; collapse targets its physical position.
-#[allow(clippy::too_many_arguments)]
-fn walk_steps<V: StateView>(
-    steps: &[Step],
-    queue: &[CompiledGate],
-    view: &V,
-    n_qubits: u32,
-    specialized: bool,
-    dispatch: DispatchMode,
-    worker: u64,
-    n_workers: u64,
-    randoms: &[f64],
-    my_re: &SharedF64Vec,
-    my_im: &SharedF64Vec,
-    my_base: u64,
-    initial_cbits: u64,
-    pre_swaps: &[Vec<(u32, u32)>],
-    measure_layouts: &[Option<crate::remap::QubitLayout>],
-    exchange: &dyn Fn(u32, u32),
-    sync: &dyn Fn(),
-    reduce: &dyn Fn(usize, f64) -> f64,
-) -> SvResult<u64> {
-    let mut cbits = initial_cbits;
-    let mut scratch: Vec<CompiledGate> = Vec::new();
-    let uploaded: Vec<KernelFn<V>> = if dispatch == DispatchMode::PreloadedFnPointer {
-        queue.iter().map(|c| resolve::<V>(c.id)).collect()
-    } else {
-        Vec::new()
-    };
-    for (si, step) in steps.iter().enumerate() {
-        if let Some(swaps) = pre_swaps.get(si) {
-            for &(a, b) in swaps {
+impl Launch<'_> {
+    /// The step walker every backend runs, as worker `worker` of
+    /// `n_workers`. `view` reaches the whole state through the backend's
+    /// memory fabric; `mine` is this worker's own partition, which the
+    /// diagonal measurement and collapse read and write directly (on the
+    /// single device both are the same [`LocalView`]). `sync` is called
+    /// between dependent kernels; `reduce` turns a local probability
+    /// contribution (deposited at a caller-chosen scratch slot) into the
+    /// global one.
+    ///
+    /// A remapped segment lists the relabeling slab exchanges to run
+    /// *before* each step, realized collectively through `exchange`.
+    /// Relabeling is unconditional even for conditional steps — it is pure
+    /// data movement, and all workers must reach the exchange barriers
+    /// together. Its block-preserving layout snapshot at each
+    /// Measure/Reset makes that step's `qubit` LOGICAL; collapse targets
+    /// its physical position.
+    fn walk<V: StateView, M: StateView>(
+        &self,
+        view: &V,
+        mine: &M,
+        worker: usize,
+        exchange: &dyn Fn(u32, u32),
+        sync: &dyn Fn(),
+        reduce: &dyn Fn(usize, f64) -> f64,
+    ) -> SvResult<u64> {
+        let (n, n_workers, worker) = (self.n_qubits, self.n_workers as u64, worker as u64);
+        let (steps, queue) = (&self.seg.steps, &self.seg.queue);
+        let (pre_swaps, layouts) = self.seg.remap.as_ref().map_or((&[][..], &[][..]), |p| {
+            (&p.pre_swaps[..], &p.measure_layouts[..])
+        });
+        let my_base = worker * mine.dim();
+        let run = |f: KernelFn<V>, cg: &CompiledGate| {
+            f(
+                view,
+                &cg.args,
+                worker_range(cg.args.work, n_workers, worker),
+            );
+            sync();
+        };
+        let collapse = |si: usize, qubit: u32, r_idx: usize| -> SvResult<(u8, u32)> {
+            let lay = layouts.get(si).and_then(Option::as_ref);
+            let (partial, slot, phys_q) =
+                measure_partial(lay, mine, my_base, worker, n_workers, n, qubit);
+            let p1 = reduce(slot, partial);
+            let outcome = u8::from(self.randoms[r_idx] < p1);
+            let p = if outcome == 1 { p1 } else { 1.0 - p1 };
+            if p < 1e-300 {
+                return Err(SvError::Numeric(format!(
+                    "collapse of qubit {qubit} with probability ~0"
+                )));
+            }
+            measure::collapse_partition(mine, my_base, phys_q, outcome, 1.0 / p.sqrt());
+            sync();
+            Ok((outcome, phys_q))
+        };
+        // The fn-pointer path binds every kernel pointer once, up front — the
+        // analog of preloading the device-function symbols; one flat pointer
+        // table parallel to the flat compiled queue, nothing copied per gate.
+        let uploaded: Vec<KernelFn<V>> = if self.dispatch == DispatchMode::PreloadedFnPointer {
+            queue.iter().map(|c| resolve::<V>(c.id)).collect()
+        } else {
+            Vec::new()
+        };
+        let mut scratch: Vec<CompiledGate> = Vec::new();
+        let mut cbits = self.initial_cbits;
+        for (si, step) in steps.iter().enumerate() {
+            for &(a, b) in pre_swaps.get(si).map_or(&[][..], Vec::as_slice) {
                 exchange(a, b);
             }
-        }
-        match step {
-            Step::Gate { raw, compiled } | Step::IfEq { raw, compiled, .. } => {
-                if let Step::IfEq {
+            let (raws, compiled) = match step {
+                Step::Gate { raw, compiled } => (std::slice::from_ref(raw), compiled),
+                // One fused kernel ⇒ one barrier for the whole run. Safe:
+                // windows are disjoint and each worker owns a disjoint
+                // window sub-range, so no cross-worker dataflow exists
+                // inside the sweep (same argument as any two-qubit kernel).
+                Step::Fused { raws, compiled } => (raws.as_slice(), compiled),
+                Step::IfEq {
                     creg_lo,
                     creg_len,
                     value,
-                    ..
-                } = step
-                {
+                    raw,
+                    compiled,
+                } => {
                     // All workers hold identical cbits, so they branch
                     // identically — no divergence across the barrier.
                     if !cond_holds(cbits, *creg_lo, *creg_len, *value) {
                         continue;
                     }
+                    (std::slice::from_ref(raw), compiled)
                 }
-                match dispatch {
-                    DispatchMode::PreloadedFnPointer => {
-                        for k in compiled.clone() {
-                            let cg = &queue[k];
-                            uploaded[k](
-                                view,
-                                &cg.args,
-                                worker_range(cg.args.work, n_workers, worker),
-                            );
-                            sync();
-                        }
-                    }
-                    DispatchMode::RuntimeParse => {
+                Step::Measure { qubit, cbit, r_idx } => {
+                    let (outcome, _) = collapse(si, *qubit, *r_idx)?;
+                    cbits = (cbits & !(1u64 << cbit)) | (u64::from(outcome) << cbit);
+                    continue;
+                }
+                Step::Reset { qubit, r_idx } => {
+                    if let (1, phys_q) = collapse(si, *qubit, *r_idx)? {
+                        // X restores |0>.
                         scratch.clear();
-                        compile_gate(raw, n_qubits, specialized, &mut scratch);
-                        for cg in &scratch {
-                            resolve::<V>(cg.id)(
-                                view,
-                                &cg.args,
-                                worker_range(cg.args.work, n_workers, worker),
-                            );
-                            sync();
-                        }
+                        let x = Gate::new(GateKind::X, &[phys_q], &[]).expect("x");
+                        compile_gate(&x, n, true, &mut scratch);
+                        run(resolve::<V>(scratch[0].id), &scratch[0]);
                     }
+                    continue;
                 }
-            }
-            Step::Fused { raws, compiled } => match dispatch {
-                // One fused kernel ⇒ one barrier for the whole run. Safe:
-                // windows are disjoint and each worker owns a disjoint
-                // window sub-range, so no cross-worker dataflow exists
-                // inside the sweep (same argument as any two-qubit kernel).
+            };
+            match self.dispatch {
                 DispatchMode::PreloadedFnPointer => {
                     for k in compiled.clone() {
-                        let cg = &queue[k];
-                        uploaded[k](
-                            view,
-                            &cg.args,
-                            worker_range(cg.args.work, n_workers, worker),
-                        );
-                        sync();
+                        run(uploaded[k], &queue[k]);
                     }
                 }
+                // Parse and branch per gate at every execution; a fused run
+                // replays its constituents gate-by-gate (bit-identical —
+                // windows are disjoint, so per-window replay commutes with
+                // the global order).
                 DispatchMode::RuntimeParse => {
                     for raw in raws {
                         scratch.clear();
-                        compile_gate(raw, n_qubits, specialized, &mut scratch);
+                        compile_gate(raw, n, self.specialized, &mut scratch);
                         for cg in &scratch {
-                            resolve::<V>(cg.id)(
-                                view,
-                                &cg.args,
-                                worker_range(cg.args.work, n_workers, worker),
-                            );
-                            sync();
+                            run(resolve::<V>(cg.id), cg);
                         }
                     }
                 }
-            },
-            Step::Measure { qubit, cbit, r_idx } => {
-                let lay = measure_layouts.get(si).and_then(|o| o.as_ref());
-                let (partial, slot, phys_q) = measure_partial(
-                    lay, my_re, my_im, my_base, worker, n_workers, n_qubits, *qubit,
-                );
-                let p1 = reduce(slot, partial);
-                let outcome = u8::from(randoms[*r_idx] < p1);
-                let p = if outcome == 1 { p1 } else { 1.0 - p1 };
-                if p < 1e-300 {
-                    return Err(SvError::Numeric(format!(
-                        "collapse of qubit {qubit} with probability ~0"
-                    )));
-                }
-                measure::collapse_partition(my_re, my_im, my_base, phys_q, outcome, 1.0 / p.sqrt());
-                sync();
-                cbits = (cbits & !(1u64 << cbit)) | (u64::from(outcome) << cbit);
-            }
-            Step::Reset { qubit, r_idx } => {
-                let lay = measure_layouts.get(si).and_then(|o| o.as_ref());
-                let (partial, slot, phys_q) = measure_partial(
-                    lay, my_re, my_im, my_base, worker, n_workers, n_qubits, *qubit,
-                );
-                let p1 = reduce(slot, partial);
-                let outcome = u8::from(randoms[*r_idx] < p1);
-                let p = if outcome == 1 { p1 } else { 1.0 - p1 };
-                if p < 1e-300 {
-                    return Err(SvError::Numeric(format!(
-                        "reset of qubit {qubit} with probability ~0"
-                    )));
-                }
-                measure::collapse_partition(my_re, my_im, my_base, phys_q, outcome, 1.0 / p.sqrt());
-                sync();
-                if outcome == 1 {
-                    // Distributed X to restore |0>.
-                    let mut xg = Vec::new();
-                    compile_gate(
-                        &Gate::new(GateKind::X, &[phys_q], &[]).expect("x"),
-                        n_qubits,
-                        true,
-                        &mut xg,
-                    );
-                    let cg = &xg[0];
-                    resolve::<V>(cg.id)(
-                        view,
-                        &cg.args,
-                        worker_range(cg.args.work, n_workers, worker),
-                    );
-                    sync();
-                }
             }
         }
+        Ok(cbits)
     }
-    Ok(cbits)
 }
 
-/// Scale-up execution: the state vector partitioned across `n_dev` device
-/// partitions in one process, accessed via the peer pointer table
+/// Scale-up execution: the state vector partitioned across the launch's
+/// device partitions in one process, accessed via the peer pointer table
 /// (§3.2.2). Returns the classical bits and the peer traffic profile.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_scaleup(
-    state: &mut StateVector,
-    ops: &[Op],
-    n_dev: usize,
-    specialized: bool,
-    dispatch: DispatchMode,
-    rng: &mut SvRng,
-    initial_cbits: u64,
-    fuse: u8,
-    seg: Option<&PlanSegment>,
-) -> SvResult<(u64, Vec<TrafficSnapshot>)> {
-    let n = state.n_qubits();
-    check_workers(n_dev, n, "device")?;
-    let dim = state.dim();
-    let per_dev = dim / n_dev;
-    let owned;
-    let seg = match seg {
-        Some(s) => s,
-        None => {
-            owned = build_segment(ops, 0, ops.len(), n, specialized, 0, fuse);
-            &owned
-        }
-    };
-    let (steps, queue) = (&seg.steps, &seg.queue);
-    let randoms: Vec<f64> = (0..seg.n_rand).map(|_| rng.next_f64()).collect();
-
+fn run_scaleup(state: &mut StateVector, l: &Launch<'_>) -> SvResult<(u64, Vec<TrafficSnapshot>)> {
+    let n_dev = l.n_workers;
+    let per_dev = state.dim() / n_dev;
     // Partition the state (the host-to-devices transfer).
-    let re_parts: Vec<SharedF64Vec> = (0..n_dev)
-        .map(|_| SharedF64Vec::new(per_dev, 0.0))
-        .collect();
-    let im_parts: Vec<SharedF64Vec> = (0..n_dev)
-        .map(|_| SharedF64Vec::new(per_dev, 0.0))
-        .collect();
-    for d in 0..n_dev {
-        re_parts[d].store_slice(0, &state.re()[d * per_dev..(d + 1) * per_dev]);
-        im_parts[d].store_slice(0, &state.im()[d * per_dev..(d + 1) * per_dev]);
-    }
+    let scatter = |amps: &[f64]| -> Vec<SharedF64Vec> {
+        amps.chunks(per_dev)
+            .map(|c| {
+                let part = SharedF64Vec::new(per_dev, 0.0);
+                part.store_slice(0, c);
+                part
+            })
+            .collect()
+    };
+    let re_parts = scatter(state.re());
+    let im_parts = scatter(state.im());
 
     let metrics = MetricsTable::new(n_dev);
     let barrier = SenseBarrier::new(n_dev);
@@ -537,16 +434,11 @@ pub(crate) fn run_scaleup(
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..n_dev)
             .map(|d| {
-                let steps = &steps;
-                let queue = &queue;
-                let re_parts = &re_parts;
-                let im_parts = &im_parts;
-                let metrics = &metrics;
-                let barrier = &barrier;
-                let coll = &coll;
-                let randoms = &randoms;
+                let (re_parts, im_parts) = (&re_parts, &im_parts);
+                let (metrics, barrier, coll) = (&metrics, &barrier, &coll);
                 scope.spawn(move || -> SvResult<u64> {
                     let view = PeerView::new(re_parts, im_parts, d, Some(metrics.pe(d)));
+                    let mine = PeerView::new(&re_parts[d..=d], &im_parts[d..=d], 0, None);
                     let token = std::cell::Cell::new(svsim_shmem::BarrierToken::default());
                     let sync = || {
                         let mut t = token.take();
@@ -564,26 +456,7 @@ pub(crate) fn run_scaleup(
                         sync();
                         total
                     };
-                    walk_steps(
-                        steps,
-                        queue,
-                        &view,
-                        n,
-                        specialized,
-                        dispatch,
-                        d as u64,
-                        n_dev as u64,
-                        randoms,
-                        &re_parts[d],
-                        &im_parts[d],
-                        (d * per_dev) as u64,
-                        initial_cbits,
-                        &[],
-                        &[],
-                        &|_, _| unreachable!("no relabeling on the scale-up path"),
-                        &sync,
-                        &reduce,
-                    )
+                    l.walk(&view, &mine, d, &no_exchange, &sync, &reduce)
                 })
             })
             .collect();
@@ -604,15 +477,14 @@ pub(crate) fn run_scaleup(
     }
 
     // Devices-to-host readback.
+    let (re, im) = state.parts_mut();
+    for (d, (re, im)) in re
+        .chunks_mut(per_dev)
+        .zip(im.chunks_mut(per_dev))
+        .enumerate()
     {
-        let (re, im) = state.parts_mut();
-        for d in 0..n_dev {
-            let mut buf = vec![0.0f64; per_dev];
-            re_parts[d].load_slice(0, &mut buf);
-            re[d * per_dev..(d + 1) * per_dev].copy_from_slice(&buf);
-            im_parts[d].load_slice(0, &mut buf);
-            im[d * per_dev..(d + 1) * per_dev].copy_from_slice(&buf);
-        }
+        re_parts[d].load_slice(0, re);
+        im_parts[d].load_slice(0, im);
     }
     Ok((cbits_out, metrics.snapshot_all()))
 }
@@ -623,12 +495,12 @@ pub(crate) fn run_scaleup(
 /// whole segment fails with a typed error and `state` is left untouched at
 /// its pre-segment contents — exactly what checkpoint/restart needs.
 ///
-/// With `detect` set, the launch runs under a fresh [`RaceDetector`]: every
-/// one-sided access is recorded against epoch-scoped shadow state, and any
-/// access-protocol violations come back as the third tuple element without
-/// failing the run.
+/// With `cfg.detect_races` set, the launch runs under a fresh
+/// [`RaceDetector`]: every one-sided access is recorded against
+/// epoch-scoped shadow state, and any access-protocol violations come back
+/// as the third tuple element without failing the run.
 ///
-/// With `remap` set, the op stream first passes through the
+/// With `cfg.remap` set, the segment was lowered through the
 /// communication-avoiding planner ([`crate::remap::plan_remap`]): gates
 /// touching partition-index qubit positions are preceded by bulk slab
 /// exchanges that relabel those positions below the boundary, so the gates
@@ -636,72 +508,39 @@ pub(crate) fn run_scaleup(
 /// results are indistinguishable from the naive schedule. The fourth tuple
 /// element counts the relabeling swaps executed (0 when off).
 ///
-/// `backend` chooses the SHMEM substrate: thread-backed PEs (default) or
-/// process-backed PEs forked over a shared `memfd` symmetric heap. The
-/// same SPMD body runs on both; results are bit-identical. The dynamic
-/// race detector records accesses through in-process `Arc` shadow state,
-/// so `detect` requires the thread backend.
+/// `cfg.shmem_backend` chooses the SHMEM substrate: thread-backed PEs
+/// (default) or process-backed PEs forked over a shared `memfd` symmetric
+/// heap. The same SPMD body runs on both; results are bit-identical. The
+/// dynamic race detector records accesses through in-process `Arc` shadow
+/// state, so race detection requires the thread backend.
 ///
-/// `respawn_max` and `hang_deadline_ms` configure the process backend's
-/// supervisor (in-place respawn budget and watchdog deadline); ignored on
-/// the thread backend. The fifth tuple element counts in-place respawns
-/// the supervisor performed (0 elsewhere). The body closure captures the
-/// segment-initial amplitudes, so a respawned (or re-run) PE reproduces
-/// its partition bit-identically.
-/// What one backend dispatch hands back: classical bits, per-PE traffic
-/// snapshots, dynamic race reports, relabeling-exchange count, and
-/// in-place respawn count.
-pub(crate) type LaunchOutput = (u64, Vec<TrafficSnapshot>, Vec<RaceReport>, usize, usize);
-
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_scaleout(
+/// `cfg.respawn_max` and `cfg.hang_deadline_ms` configure the process
+/// backend's supervisor (in-place respawn budget and watchdog deadline);
+/// ignored on the thread backend. The fifth tuple element counts in-place
+/// respawns the supervisor performed (0 elsewhere). The body closure
+/// captures the segment-initial amplitudes, so a respawned (or re-run) PE
+/// reproduces its partition bit-identically.
+fn run_scaleout(
     state: &mut StateVector,
-    ops: &[Op],
-    n_pes: usize,
-    specialized: bool,
-    dispatch: DispatchMode,
-    rng: &mut SvRng,
-    initial_cbits: u64,
+    l: &Launch<'_>,
+    cfg: &SimConfig,
     faults: Option<Arc<FaultPlan>>,
-    detect: bool,
-    remap: bool,
-    backend: ShmemBackend,
-    respawn_max: u32,
-    hang_deadline_ms: u32,
-    fuse: u8,
-    seg: Option<&PlanSegment>,
 ) -> SvResult<LaunchOutput> {
-    let n = state.n_qubits();
-    check_workers(n_pes, n, "PE")?;
-    if detect && backend == ShmemBackend::Process {
+    if cfg.detect_races && cfg.shmem_backend == ShmemBackend::Process {
         return Err(SvError::InvalidConfig(
             "race detection requires the thread backend: the detector's shadow \
              state is in-process and cannot observe forked PEs"
                 .into(),
         ));
     }
-    let dim = state.dim();
-    let per_pe = dim / n_pes;
-    let owned;
-    let seg = match seg {
-        Some(s) => s,
-        None => {
-            let remap_pes = if remap && n_pes > 1 { n_pes as u64 } else { 0 };
-            owned = build_segment(ops, 0, ops.len(), n, specialized, remap_pes, fuse);
-            &owned
-        }
-    };
-    let plan = seg.remap.as_ref();
-    let (steps, queue) = (&seg.steps, &seg.queue);
-    let pre_swaps: &[Vec<(u32, u32)>] = plan.map_or(&[], |p| &p.pre_swaps);
-    let measure_layouts: &[Option<crate::remap::QubitLayout>] =
-        plan.map_or(&[], |p| &p.measure_layouts);
+    let n_pes = l.n_workers;
+    let per_pe = state.dim() / n_pes;
+    let plan = l.seg.remap.as_ref();
     let n_swaps = plan.map_or(0, |p| p.n_swaps);
-    let randoms: Vec<f64> = (0..seg.n_rand).map(|_| rng.next_f64()).collect();
     let init_re = state.re().to_vec();
     let init_im = state.im().to_vec();
 
-    let detector = if detect {
+    let detector = if cfg.detect_races {
         Some(RaceDetector::new(n_pes)?)
     } else {
         None
@@ -718,56 +557,36 @@ pub(crate) fn run_scaleout(
             None
         };
         // Local initialization of this PE's slice (host scatter).
-        sym_re
-            .partition(pe)
-            .store_slice(0, &init_re[pe * per_pe..(pe + 1) * per_pe]);
-        sym_im
-            .partition(pe)
-            .store_slice(0, &init_im[pe * per_pe..(pe + 1) * per_pe]);
+        let (my_re, my_im) = (sym_re.partition(pe), sym_im.partition(pe));
+        my_re.store_slice(0, &init_re[pe * per_pe..(pe + 1) * per_pe]);
+        my_im.store_slice(0, &init_im[pe * per_pe..(pe + 1) * per_pe]);
         ctx.try_barrier_all()?;
 
         let view = ShmemView::new(ctx, &sym_re, &sym_im);
+        let mine = PeerView::new(
+            std::slice::from_ref(my_re),
+            std::slice::from_ref(my_im),
+            0,
+            None,
+        );
         let exchange = |a: u32, b: u32| {
             let (xr, xi) = xch.as_ref().expect("staging buffers allocated");
             view.exchange_pair(a, b, xr, xi);
         };
         let sync = || ctx.barrier_all();
         let reduce = |slot: usize, x: f64| ctx.sum_reduce_f64_at(slot, x);
-        let cbits = walk_steps(
-            steps,
-            queue,
-            &view,
-            n,
-            specialized,
-            dispatch,
-            pe as u64,
-            n_pes as u64,
-            &randoms,
-            sym_re.partition(pe),
-            sym_im.partition(pe),
-            (pe * per_pe) as u64,
-            initial_cbits,
-            pre_swaps,
-            measure_layouts,
-            &exchange,
-            &sync,
-            &reduce,
-        )?;
+        let cbits = l.walk(&view, &mine, pe, &exchange, &sync, &reduce)?;
         ctx.try_barrier_all()?;
-        Ok((
-            cbits,
-            sym_re.partition(pe).to_vec(),
-            sym_im.partition(pe).to_vec(),
-        ))
+        Ok((cbits, my_re.to_vec(), my_im.to_vec()))
     };
-    let out = match backend {
+    let out = match cfg.shmem_backend {
         ShmemBackend::Process => {
             // Symmetric heap: re + im (per_pe each) plus the optional pair
             // of half-partition exchange staging buffers; result slot: the
             // two returned partition vectors plus cbits/tag overhead.
             let opts = ProcOptions {
-                respawn_max,
-                hang_deadline_ms: u64::from(hang_deadline_ms),
+                respawn_max: cfg.respawn_max,
+                hang_deadline_ms: u64::from(cfg.hang_deadline_ms),
                 ..ProcOptions::sized_for(3 * per_pe + 64, 2 * per_pe + 64)
             };
             svsim_shmem::launch_process(n_pes, &opts, faults, body)?
@@ -801,23 +620,21 @@ pub(crate) fn run_scaleout(
     }
     let n_respawns = out.respawns.len();
     let mut cbits_out = 0u64;
-    {
-        let (re, im) = state.parts_mut();
-        for (pe, r) in out.results.into_iter().enumerate() {
-            let (cb, pre, pim) = r
-                .expect("failures handled above")
-                .expect("failures handled above");
-            if pe == 0 {
-                cbits_out = cb;
-            }
-            re[pe * per_pe..(pe + 1) * per_pe].copy_from_slice(&pre);
-            im[pe * per_pe..(pe + 1) * per_pe].copy_from_slice(&pim);
+    let (re, im) = state.parts_mut();
+    for (pe, r) in out.results.into_iter().enumerate() {
+        let (cb, pre, pim) = r
+            .expect("failures handled above")
+            .expect("failures handled above");
+        if pe == 0 {
+            cbits_out = cb;
         }
-        // The remapped run left the state in the final physical layout;
-        // restore logical order host-side (no fabric traffic).
-        if let Some(p) = plan {
-            crate::remap::unpermute_state(&p.final_layout, re, im);
-        }
+        re[pe * per_pe..(pe + 1) * per_pe].copy_from_slice(&pre);
+        im[pe * per_pe..(pe + 1) * per_pe].copy_from_slice(&pim);
+    }
+    // The remapped run left the state in the final physical layout;
+    // restore logical order host-side (no fabric traffic).
+    if let Some(p) = plan {
+        crate::remap::unpermute_state(&p.final_layout, re, im);
     }
     let races = detector.map_or_else(Vec::new, |d| d.take_reports());
     Ok((cbits_out, out.traffic, races, n_swaps, n_respawns))

@@ -406,36 +406,6 @@ pub fn k_fused3<V: StateView>(v: &V, a: &GateArgs, r: Range<u64>) {
     k_fused_body::<V, 8>(v, a, r);
 }
 
-/// Partial sum of `|amp|^2` over amplitudes in `r` with bit `q` set
-/// (work-item space: `dim/2`), accumulated sequentially. The executors'
-/// measurement paths use the canonical-tree sums in `crate::measure`
-/// instead — a sequential association is not reproducible across
-/// partition counts; this kernel remains for range-sliced diagnostics.
-#[must_use]
-pub fn prob_one_partial<V: StateView>(v: &V, q: u32, r: Range<u64>) -> f64 {
-    let mut p = 0.0;
-    for i in r {
-        let i1 = insert_zero_bit(i, q) | (1 << q);
-        let (re, im) = v.get(i1);
-        p += re * re + im * im;
-    }
-    p
-}
-
-/// Collapse after measuring qubit `q` as `outcome`: zero the losing half,
-/// scale the surviving half by `1/sqrt(p)`. Work-item space: `dim/2`
-/// (each item handles one pair — all accesses are pair-local).
-pub fn collapse_pairs<V: StateView>(v: &V, q: u32, outcome: u8, inv_sqrt_p: f64, r: Range<u64>) {
-    for i in r {
-        let i0 = insert_zero_bit(i, q);
-        let i1 = i0 | (1 << q);
-        let (keep, kill) = if outcome == 1 { (i1, i0) } else { (i0, i1) };
-        let (re, im) = v.get(keep);
-        v.set(keep, re * inv_sqrt_p, im * inv_sqrt_p);
-        v.set(kill, 0.0, 0.0);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -600,20 +570,5 @@ mod tests {
         }
         assert_eq!(re[0b10], 1.0);
         assert_eq!(re[0b01], 0.0);
-    }
-
-    #[test]
-    fn prob_and_collapse() {
-        // |+> on qubit 0 of 2 qubits.
-        let mut re = vec![svsim_types::S2I, svsim_types::S2I, 0.0, 0.0];
-        let mut im = vec![0.0; 4];
-        {
-            let v = LocalView::new(&mut re, &mut im);
-            let p1 = prob_one_partial(&v, 0, 0..2);
-            assert!((p1 - 0.5).abs() < 1e-15);
-            collapse_pairs(&v, 0, 1, (1.0f64 / 0.5).sqrt(), 0..2);
-        }
-        assert_eq!(re[0], 0.0);
-        assert!((re[1] - 1.0).abs() < 1e-12);
     }
 }

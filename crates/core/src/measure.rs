@@ -17,8 +17,8 @@
 
 use crate::par::parallel_sum;
 use crate::state::StateVector;
+use crate::view::StateView;
 use svsim_ir::{Pauli, PauliString};
-use svsim_shmem::SharedF64Vec;
 use svsim_types::bits::{bit, masked_parity};
 use svsim_types::{SvError, SvResult, SvRng};
 
@@ -65,19 +65,6 @@ fn prob_tree<F: Fn(usize) -> f64>(term: &F, base: u64, start: usize, len: usize,
     }
     let half = len / 2;
     prob_tree(term, base, start, half, q) + prob_tree(term, base, start + half, half, q)
-}
-
-/// Canonical-tree probability that qubit `q` measures 1, over a full
-/// [`crate::view::StateView`] of dimension `dim` — the single-device
-/// executor's measurement path. Same association as [`prob_one`] and as
-/// the partitioned partials, so every backend agrees bit-for-bit.
-#[must_use]
-pub(crate) fn prob_one_view<V: crate::view::StateView>(v: &V, q: u32, dim: u64) -> f64 {
-    let term = |i: usize| {
-        let (re, im) = v.get(i as u64);
-        re * re + im * im
-    };
-    prob_tree(&term, 0, 0, dim as usize, q)
 }
 
 /// Probability that qubit `q` measures 1 (full local state).
@@ -168,19 +155,20 @@ pub fn reset_with(state: &mut StateVector, q: u32, r: f64) -> SvResult<()> {
 }
 
 /// Partition-local partial probability of qubit `q` being 1, for a
-/// partition whose first global amplitude index is `base`.
+/// partition `v` whose first global amplitude index is `base` (the whole
+/// state on a single device, with `base` 0).
 ///
 /// The partial is the canonical tree node for this partition's aligned
 /// block, so combining the per-PE partials with
 /// [`svsim_types::numeric::pairwise_sum`] equals [`prob_one`] on the whole
 /// state bit-for-bit.
 #[must_use]
-pub fn partial_prob_one_partition(re: &SharedF64Vec, im: &SharedF64Vec, base: u64, q: u32) -> f64 {
+pub fn partial_prob_one<V: StateView>(v: &V, base: u64, q: u32) -> f64 {
     let term = |off: usize| {
-        let (r, i) = (re.load(off), im.load(off));
+        let (r, i) = v.get(off as u64);
         r * r + i * i
     };
-    prob_tree(&term, base, 0, re.len(), q)
+    prob_tree(&term, base, 0, v.dim() as usize, q)
 }
 
 /// Partition partial of P(q=1) under a block-preserving qubit layout.
@@ -191,40 +179,32 @@ pub fn partial_prob_one_partition(re: &SharedF64Vec, im: &SharedF64Vec, base: u6
 /// position of logical qubit `k`, all below the boundary). The tree shape is
 /// therefore the single-device logical tree, bit-identical regardless of the
 /// within-partition scramble. `q` is the LOGICAL measured qubit.
-pub fn partial_prob_one_mapped(
-    re: &SharedF64Vec,
-    im: &SharedF64Vec,
+pub fn partial_prob_one_mapped<V: StateView>(
+    v: &V,
     logical_base: u64,
     low_pos: &[u32],
     q: u32,
 ) -> f64 {
     let term = |o: usize| {
-        let mut off = 0usize;
+        let mut off = 0u64;
         for (k, &pos) in low_pos.iter().enumerate() {
-            off |= ((o >> k) & 1) << (pos as usize);
+            off |= (((o >> k) & 1) as u64) << pos;
         }
-        let (r, i) = (re.load(off), im.load(off));
+        let (r, i) = v.get(off);
         r * r + i * i
     };
-    prob_tree(&term, logical_base, 0, re.len(), q)
+    prob_tree(&term, logical_base, 0, v.dim() as usize, q)
 }
 
-/// Partition-local collapse (diagonal, no communication).
-pub fn collapse_partition(
-    re: &SharedF64Vec,
-    im: &SharedF64Vec,
-    base: u64,
-    q: u32,
-    outcome: u8,
-    inv_sqrt_p: f64,
-) {
-    for off in 0..re.len() {
-        if bit(base + off as u64, q) == u64::from(outcome) {
-            re.store(off, re.load(off) * inv_sqrt_p);
-            im.store(off, im.load(off) * inv_sqrt_p);
+/// Partition-local collapse (diagonal, no communication) of a partition
+/// `v` whose first global amplitude index is `base`.
+pub fn collapse_partition<V: StateView>(v: &V, base: u64, q: u32, outcome: u8, inv_sqrt_p: f64) {
+    for off in 0..v.dim() {
+        if bit(base + off, q) == u64::from(outcome) {
+            let (re, im) = v.get(off);
+            v.set(off, re * inv_sqrt_p, im * inv_sqrt_p);
         } else {
-            re.store(off, 0.0);
-            im.store(off, 0.0);
+            v.set(off, 0.0, 0.0);
         }
     }
 }
@@ -244,7 +224,9 @@ pub fn sample_shots(probabilities: &[f64], rng: &mut SvRng, shots: usize) -> Vec
     (0..shots)
         .map(|_| {
             let r = rng.next_f64() * total;
-            match cdf.binary_search_by(|c| c.partial_cmp(&r).expect("no NaN")) {
+            // `total_cmp` orders NaN too: a corrupted distribution yields
+            // some in-range index instead of a panic.
+            match cdf.binary_search_by(|c| c.total_cmp(&r)) {
                 Ok(i) | Err(i) => (i.min(cdf.len() - 1)) as u64,
             }
         })
@@ -336,6 +318,7 @@ pub fn expval_pauli(state: &StateVector, string: &PauliString) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::view::LocalView;
     use svsim_types::Complex64;
 
     fn plus_state() -> StateVector {
@@ -402,6 +385,16 @@ mod tests {
     }
 
     #[test]
+    fn sampling_a_nan_distribution_does_not_panic() {
+        let mut rng = SvRng::seed_from_u64(9);
+        for probs in [vec![f64::NAN; 4], vec![0.5, f64::NAN, 0.25, 0.25]] {
+            for s in sample_shots(&probs, &mut rng, 100) {
+                assert!(s < 4);
+            }
+        }
+    }
+
+    #[test]
     fn z_expectations() {
         let s = StateVector::zero_state(2).unwrap();
         assert!((expval_z_mask(&s, 0b01) - 1.0).abs() < 1e-15);
@@ -454,15 +447,13 @@ mod tests {
             let whole = prob_one(&s, q);
             for n_pes in [2usize, 4, 8] {
                 let per = dim / n_pes;
-                let partials: Vec<f64> = (0..n_pes)
-                    .map(|pe| {
-                        let re = SharedF64Vec::new(per, 0.0);
-                        let im = SharedF64Vec::new(per, 0.0);
-                        for off in 0..per {
-                            re.store(off, s.re()[pe * per + off]);
-                            im.store(off, s.im()[pe * per + off]);
-                        }
-                        partial_prob_one_partition(&re, &im, (pe * per) as u64, q)
+                let (mut re, mut im) = (s.re().to_vec(), s.im().to_vec());
+                let partials: Vec<f64> = re
+                    .chunks_mut(per)
+                    .zip(im.chunks_mut(per))
+                    .enumerate()
+                    .map(|(pe, (re, im))| {
+                        partial_prob_one(&LocalView::new(re, im), (pe * per) as u64, q)
                     })
                     .collect();
                 let combined = svsim_types::numeric::pairwise_sum(&partials);
@@ -479,20 +470,19 @@ mod tests {
     fn partition_prob_and_collapse() {
         // 2 partitions of a 2-qubit |+> x |0> state: amps (s2i, s2i, 0, 0).
         let s2i = svsim_types::S2I;
-        let re0 = SharedF64Vec::new(2, 0.0);
-        let im0 = SharedF64Vec::new(2, 0.0);
-        let re1 = SharedF64Vec::new(2, 0.0);
-        let im1 = SharedF64Vec::new(2, 0.0);
-        re0.store(0, s2i);
-        re0.store(1, s2i);
-        let p = partial_prob_one_partition(&re0, &im0, 0, 0)
-            + partial_prob_one_partition(&re1, &im1, 2, 0);
-        assert!((p - 0.5).abs() < 1e-15);
-        // Collapse to outcome 0.
-        let inv = (1.0f64 / 0.5).sqrt();
-        collapse_partition(&re0, &im0, 0, 0, 0, inv);
-        collapse_partition(&re1, &im1, 2, 0, 0, inv);
-        assert!((re0.load(0) - 1.0).abs() < 1e-12);
-        assert_eq!(re0.load(1), 0.0);
+        let (mut re0, mut im0) = (vec![s2i, s2i], vec![0.0; 2]);
+        let (mut re1, mut im1) = (vec![0.0; 2], vec![0.0; 2]);
+        {
+            let v0 = LocalView::new(&mut re0, &mut im0);
+            let v1 = LocalView::new(&mut re1, &mut im1);
+            let p = partial_prob_one(&v0, 0, 0) + partial_prob_one(&v1, 2, 0);
+            assert!((p - 0.5).abs() < 1e-15);
+            // Collapse to outcome 0.
+            let inv = (1.0f64 / 0.5).sqrt();
+            collapse_partition(&v0, 0, 0, 0, inv);
+            collapse_partition(&v1, 2, 0, 0, inv);
+        }
+        assert!((re0[0] - 1.0).abs() < 1e-12);
+        assert_eq!(re0[1], 0.0);
     }
 }

@@ -1,13 +1,13 @@
 //! Ahead-of-time circuit compilation: the [`CompiledPlan`] artifact.
 //!
 //! Historically every executor call re-lowered its op slice on the spot —
-//! [`crate::exec::build_steps`] inside `run_single`/`run_scaleup`/
-//! `run_scaleout`, plus a fresh communication-avoiding
-//! [`crate::remap::plan_remap`] pass per scale-out segment. That couples
-//! circuit elaboration (op → step lowering), kernel specialization
-//! (gate → [`CompiledGate`] resolution), and remap planning to execution,
-//! so a serving layer cannot overlap "compile job B" with "execute job A",
-//! and repeated submissions of one circuit pay the compile cost each time.
+//! [`crate::exec::build_steps`] inside each backend's launch, plus a fresh
+//! communication-avoiding [`crate::remap::plan_remap`] pass per scale-out
+//! segment. That couples circuit elaboration (op → step lowering), kernel
+//! specialization (gate → [`CompiledGate`] resolution), and remap planning
+//! to execution, so a serving layer cannot overlap "compile job B" with
+//! "execute job A", and repeated submissions of one circuit pay the compile
+//! cost each time.
 //!
 //! [`CompiledPlan`] splits that work out: it precompiles a circuit — one
 //! [`PlanSegment`] per checkpoint-grid segment, each holding the lowered
@@ -79,6 +79,15 @@ pub(crate) fn build_segment(
     }
 }
 
+/// Partition count the remap planner lowers for: the PE count of a
+/// remapped scale-out run over more than one PE, 0 (no remap) otherwise.
+pub(crate) fn remap_pes(config: &SimConfig) -> u64 {
+    match config.backend {
+        BackendKind::ScaleOut { n_pes } if config.remap && n_pes > 1 => n_pes as u64,
+        _ => 0,
+    }
+}
+
 /// A circuit compiled ahead of execution for a specific simulator shape
 /// (width, specialization, checkpoint cadence, and remap partitioning).
 ///
@@ -112,10 +121,7 @@ impl CompiledPlan {
     #[must_use]
     pub fn compile(circuit: &Circuit, n_qubits: u32, config: &SimConfig) -> Self {
         let ops = circuit.ops();
-        let remap_pes = match config.backend {
-            BackendKind::ScaleOut { n_pes } if config.remap && n_pes > 1 => n_pes as u64,
-            _ => 0,
-        };
+        let remap_pes = remap_pes(config);
         let k = config.checkpoint_every as usize;
         let mut segments = Vec::new();
         if k == 0 {
@@ -168,10 +174,7 @@ impl CompiledPlan {
     /// with the wrong circuit.
     #[must_use]
     pub fn matches(&self, circuit: &Circuit, n_qubits: u32, config: &SimConfig) -> bool {
-        let remap_pes = match config.backend {
-            BackendKind::ScaleOut { n_pes } if config.remap && n_pes > 1 => n_pes as u64,
-            _ => 0,
-        };
+        let remap_pes = remap_pes(config);
         self.n_qubits == n_qubits
             && self.specialized == config.specialized
             && self.checkpoint_every == config.checkpoint_every

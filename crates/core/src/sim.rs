@@ -1,7 +1,7 @@
 //! The unified `Simulator` facade over all backends.
 
 use crate::checkpoint::{Checkpoint, CheckpointStore};
-use crate::exec::{run_scaleout, run_scaleup, run_single, DispatchMode, LaunchOutput};
+use crate::exec::{launch, DispatchMode, LaunchOutput};
 use crate::measure;
 use crate::plan::{CompiledPlan, PlanSegment};
 use crate::state::StateVector;
@@ -361,52 +361,15 @@ impl Simulator {
         initial_cbits: u64,
         seg: Option<&PlanSegment>,
     ) -> SvResult<LaunchOutput> {
-        match self.config.backend {
-            BackendKind::SingleDevice => {
-                let cb = run_single(
-                    &mut self.state,
-                    ops,
-                    self.config.specialized,
-                    self.config.dispatch,
-                    &mut self.rng,
-                    initial_cbits,
-                    self.config.fuse,
-                    seg,
-                )?;
-                Ok((cb, Vec::new(), Vec::new(), 0, 0))
-            }
-            BackendKind::ScaleUp { n_devices } => {
-                let (cb, traffic) = run_scaleup(
-                    &mut self.state,
-                    ops,
-                    n_devices,
-                    self.config.specialized,
-                    self.config.dispatch,
-                    &mut self.rng,
-                    initial_cbits,
-                    self.config.fuse,
-                    seg,
-                )?;
-                Ok((cb, traffic, Vec::new(), 0, 0))
-            }
-            BackendKind::ScaleOut { n_pes } => run_scaleout(
-                &mut self.state,
-                ops,
-                n_pes,
-                self.config.specialized,
-                self.config.dispatch,
-                &mut self.rng,
-                initial_cbits,
-                self.fault_plan.clone(),
-                self.config.detect_races,
-                self.config.remap,
-                self.config.shmem_backend,
-                self.config.respawn_max,
-                self.config.hang_deadline_ms,
-                self.config.fuse,
-                seg,
-            ),
-        }
+        launch(
+            &mut self.state,
+            ops,
+            &self.config,
+            self.fault_plan.clone(),
+            &mut self.rng,
+            initial_cbits,
+            seg,
+        )
     }
 
     /// Execute `circuit.ops()[start_op..]`, segmenting at checkpoint

@@ -7,7 +7,7 @@
 //! optimizer, plus interactive one-shot requests. This crate adds the
 //! serving layer that makes those streams cheap:
 //!
-//! - a **typed dataflow pipeline** (the default [`ExecutionModel`]): jobs
+//! - a **typed dataflow pipeline**: jobs
 //!   flow as memory-accounted packets through bounded admit → compile →
 //!   execute → readback stages, each with its own queue, [`SchedMode`],
 //!   and occupancy metrics, with an [`AllocMode`] budget capping total
@@ -73,7 +73,7 @@ mod templates;
 pub use engine::{Engine, EngineConfig};
 pub use job::{JobError, JobHandle, JobId, JobOutput, JobRequest, JobSpec, Priority, SweepReturn};
 pub use metrics::{EngineMetrics, LatencyHistogram, LatencySnapshot, MetricsSnapshot};
-pub use pipeline::{AllocMode, ExecutionModel, SchedMode, StageSnapshot};
+pub use pipeline::{AllocMode, SchedMode, StageSnapshot};
 pub use queue::SubmitError;
 pub use retry::{retryable, DegradePolicy, RetryPolicy};
 pub use templates::{TemplateId, TemplateInfo, TemplateRegistry};

@@ -278,8 +278,7 @@ pub struct MetricsSnapshot {
     pub recovery: LatencySnapshot,
     /// Aggregated SHMEM traffic over all distributed jobs.
     pub traffic: TrafficSnapshot,
-    /// Per-stage occupancy of the pipeline, in pipeline order (empty when
-    /// the engine runs the legacy worker pool).
+    /// Per-stage occupancy of the pipeline, in pipeline order.
     pub stages: Vec<StageSnapshot>,
     /// State-vector bytes pinned by in-flight packets right now
     /// (pipeline model only).

@@ -15,9 +15,8 @@
 //!   the hop, and attaches a cached [`svsim_core::CompiledPlan`] to
 //!   one-shot jobs so repeated circuits skip op→kernel lowering entirely.
 //! - **execute** is the worker pool: template-coalesced batching, retry,
-//!   degradation ladders, and quarantine marking — the same machinery as
-//!   the legacy engine, now fed from a bounded stage queue with one more
-//!   cancel/deadline re-check at the hop.
+//!   degradation ladders, and quarantine marking, fed from a bounded stage
+//!   queue with one more cancel/deadline re-check at the hop.
 //! - **readback** samples, clones requested state, checks the simulator
 //!   back into the instance pool, and publishes — off the execute workers,
 //!   so a large job's measurement readout no longer blocks the next job's
@@ -50,18 +49,6 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 use svsim_core::{CompiledPlan, SimConfig};
 use svsim_ir::Circuit;
-
-/// Which execution substrate the engine runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecutionModel {
-    /// The staged dataflow pipeline (the default): compile/execute/readback
-    /// overlap, bounded stage queues, per-stage backpressure.
-    #[default]
-    Pipeline,
-    /// The original single-queue worker pool, kept as an honest baseline
-    /// for `serve-bench --model legacy` comparisons.
-    Legacy,
-}
 
 /// Compiled plans cached by the compile stage, keyed by a structural
 /// circuit fingerprint.
@@ -210,7 +197,7 @@ impl Pipeline {
             job,
             fp,
             plan: None,
-            lease: Some(lease),
+            lease,
         };
         self.admit_q.try_push(pkt).map_err(|(e, _pkt)| e)
     }

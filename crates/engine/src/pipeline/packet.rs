@@ -150,7 +150,7 @@ pub(crate) struct JobPacket {
     /// The job itself (request, result cell, enqueue instant).
     pub(crate) job: QueuedJob,
     /// Fingerprint computed once at admission (quarantine key); `None`
-    /// when quarantining is off or on the legacy path.
+    /// when quarantining is off.
     pub(crate) fp: Option<u64>,
     /// The compile stage's artifact for one-shot jobs; execution falls
     /// back to on-the-fly lowering when absent (bit-identical either way).
@@ -158,20 +158,7 @@ pub(crate) struct JobPacket {
     /// In-flight budget reservation; never read, held only so dropping
     /// the packet releases it.
     #[allow(dead_code)]
-    pub(crate) lease: Option<BudgetLease>,
-}
-
-impl JobPacket {
-    /// Wrap a queued job with no precomputed stage artifacts — the legacy
-    /// worker-pool path, where one worker does every stage itself.
-    pub(crate) fn bare(job: QueuedJob) -> Self {
-        Self {
-            job,
-            fp: None,
-            plan: None,
-            lease: None,
-        }
-    }
+    pub(crate) lease: BudgetLease,
 }
 
 impl StageItem for JobPacket {

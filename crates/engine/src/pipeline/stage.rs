@@ -209,8 +209,7 @@ impl<T: StageItem> StageQueue<T> {
     /// queued ahead of later sweep points is never leapfrogged, so its
     /// latency can't be inflated by batches assembled from work submitted
     /// after it. (The earlier any-position scan did exactly that, and it
-    /// showed up as small-job p99 tail inflation in `serve-bench
-    /// --compare`.)
+    /// showed up as small-job p99 tail inflation.)
     pub(crate) fn pop_batch(&self, max_batch: usize) -> Option<Vec<T>> {
         let mut inner = self.inner.lock().expect("stage queue lock");
         loop {

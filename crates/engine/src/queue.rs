@@ -1,14 +1,13 @@
-//! Bounded, priority-aware job queue with reject-on-full admission.
+//! Admission types: a submitted job and the reasons a submission is
+//! refused.
 //!
-//! Admission never blocks: a full queue refuses the job immediately so the
-//! caller can shed load or retry with backoff — the same backpressure
-//! stance as the SHMEM layer's bounded symmetric heap. Dequeue blocks
-//! (workers park on a condvar until work or shutdown arrives).
+//! Admission never blocks: a full admit queue refuses the job immediately
+//! so the caller can shed load or retry with backoff — the same
+//! backpressure stance as the SHMEM layer's bounded symmetric heap.
 
-use crate::job::{JobCell, JobRequest, Priority};
+use crate::job::{JobCell, JobRequest};
 use crate::templates::TemplateId;
-use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Why a submission was refused.
@@ -72,7 +71,7 @@ impl std::fmt::Display for SubmitError {
 
 impl std::error::Error for SubmitError {}
 
-/// A job as it sits in the queue.
+/// A submitted job: its request, result cell, and enqueue instant.
 #[derive(Debug)]
 pub(crate) struct QueuedJob {
     pub(crate) request: JobRequest,
@@ -87,122 +86,5 @@ impl QueuedJob {
             crate::job::JobSpec::Sweep { template, .. } => Some(*template),
             crate::job::JobSpec::OneShot { .. } => None,
         }
-    }
-}
-
-#[derive(Debug, Default)]
-struct Inner {
-    /// One FIFO lane per priority class, indexed by `Priority::ALL` order.
-    lanes: [VecDeque<QueuedJob>; 3],
-    /// Closed to new submissions (drain or hard stop).
-    closed: bool,
-}
-
-impl Inner {
-    fn len(&self) -> usize {
-        self.lanes.iter().map(VecDeque::len).sum()
-    }
-}
-
-/// The shared queue.
-#[derive(Debug)]
-pub(crate) struct JobQueue {
-    inner: Mutex<Inner>,
-    /// Signals workers: work available or queue closed.
-    work: Condvar,
-    capacity: usize,
-}
-
-fn lane(p: Priority) -> usize {
-    match p {
-        Priority::High => 0,
-        Priority::Normal => 1,
-        Priority::Low => 2,
-    }
-}
-
-impl JobQueue {
-    pub(crate) fn new(capacity: usize) -> Self {
-        Self {
-            inner: Mutex::new(Inner::default()),
-            work: Condvar::new(),
-            capacity: capacity.max(1),
-        }
-    }
-
-    /// Admit a job or refuse immediately.
-    // Rejection hands the job back by value so the caller can fail its
-    // handle; boxing it would put an allocation on the admission path.
-    #[allow(clippy::result_large_err)]
-    pub(crate) fn push(&self, job: QueuedJob) -> Result<(), (SubmitError, QueuedJob)> {
-        let mut inner = self.inner.lock().expect("queue lock");
-        if inner.closed {
-            return Err((SubmitError::ShuttingDown, job));
-        }
-        if inner.len() >= self.capacity {
-            return Err((SubmitError::QueueFull, job));
-        }
-        inner.lanes[lane(job.request.priority)].push_back(job);
-        drop(inner);
-        self.work.notify_one();
-        Ok(())
-    }
-
-    /// Jobs currently queued (not running).
-    pub(crate) fn len(&self) -> usize {
-        self.inner.lock().expect("queue lock").len()
-    }
-
-    /// Block until a job is available, then pop the highest-priority one.
-    /// If it is a sweep, also pop up to `max_batch - 1` more sweeps with
-    /// the same template (from any lane, preserving lane order) so the
-    /// worker can run them as one coalesced batch.
-    ///
-    /// Returns `None` when the queue is closed and empty — the worker
-    /// shutdown signal. Under a draining close, queued jobs keep flowing
-    /// until the queue is empty.
-    pub(crate) fn pop_batch(&self, max_batch: usize) -> Option<Vec<QueuedJob>> {
-        let mut inner = self.inner.lock().expect("queue lock");
-        loop {
-            if let Some(head) = inner
-                .lanes
-                .iter_mut()
-                .find_map(|l| (!l.is_empty()).then(|| l.pop_front().expect("non-empty lane")))
-            {
-                let mut batch = vec![head];
-                if let Some(tpl) = batch[0].template() {
-                    let want = max_batch.saturating_sub(1);
-                    for l in &mut inner.lanes {
-                        while batch.len() <= want {
-                            let Some(pos) = l.iter().position(|j| j.template() == Some(tpl)) else {
-                                break;
-                            };
-                            batch.push(l.remove(pos).expect("position just found"));
-                        }
-                    }
-                }
-                return Some(batch);
-            }
-            if inner.closed {
-                return None;
-            }
-            inner = self.work.wait(inner).expect("queue lock");
-        }
-    }
-
-    /// Close to new submissions. With `drain`, queued jobs stay and will be
-    /// executed; without, they are removed and returned so the caller can
-    /// fail their handles.
-    pub(crate) fn close(&self, drain: bool) -> Vec<QueuedJob> {
-        let mut inner = self.inner.lock().expect("queue lock");
-        inner.closed = true;
-        let orphans = if drain {
-            Vec::new()
-        } else {
-            inner.lanes.iter_mut().flat_map(std::mem::take).collect()
-        };
-        drop(inner);
-        self.work.notify_all();
-        orphans
     }
 }

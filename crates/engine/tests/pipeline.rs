@@ -1,13 +1,15 @@
 //! Pipeline-model integration tests: topological drain, stage-boundary
 //! cancellation/deadline re-checks, bounded-stage backpressure, the
-//! in-flight memory budget, legacy-model parity, and LIFO scheduling.
+//! in-flight memory budget, parity with a serial simulator, and LIFO
+//! scheduling.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use svsim_core::{ParamCircuit, ParamValue, SimConfig, Simulator};
+use svsim_core::{DispatchMode, ParamCircuit, ParamValue, SimConfig, Simulator};
 use svsim_engine::{
-    AllocMode, Engine, EngineConfig, ExecutionModel, JobError, JobOutput, JobRequest, JobSpec,
-    MetricsSnapshot, SchedMode, SubmitError, SweepReturn,
+    AllocMode, Engine, EngineConfig, JobError, JobOutput, JobRequest, JobSpec, MetricsSnapshot,
+    SchedMode, SubmitError, SweepReturn,
 };
 use svsim_ir::{Circuit, GateKind};
 
@@ -335,11 +337,54 @@ fn limit_memory_caps_in_flight_bytes() {
     assert!(metrics.to_string().contains("memory: in_flight_bytes=0"));
 }
 
-/// The legacy worker pool and the pipeline must produce bit-identical
-/// results for the same jobs — the pipeline is a scheduling change, never
-/// a numerical one.
+/// One-shot output reduced to what a caller compares: classical bits, final
+/// state and sample histogram.
+type OneShotResult = (u64, svsim_core::StateVector, BTreeMap<u64, usize>);
+
+/// Submit one sampled, state-returning one-shot and wait for it.
+fn engine_one_shot(engine: &Engine, circuit: &Arc<Circuit>, config: SimConfig) -> OneShotResult {
+    let h = engine
+        .submit(JobRequest::new(JobSpec::OneShot {
+            circuit: Arc::clone(circuit),
+            config,
+            shots: 32,
+            return_state: true,
+        }))
+        .unwrap();
+    let JobOutput::OneShot {
+        summary,
+        state,
+        samples,
+    } = h.wait().unwrap()
+    else {
+        panic!("one-shot output expected");
+    };
+    (summary.cbits, state.unwrap(), samples.unwrap())
+}
+
+/// The same job run serially on a fresh `Simulator`: run, then sample.
+fn serial_one_shot(circuit: &Circuit, config: SimConfig) -> OneShotResult {
+    let mut sim = Simulator::new(circuit.n_qubits(), config).unwrap();
+    let cbits = sim.run(circuit).unwrap().cbits;
+    let mut hist = BTreeMap::new();
+    for outcome in sim.sample(32) {
+        *hist.entry(outcome).or_insert(0) += 1;
+    }
+    (cbits, sim.state().clone(), hist)
+}
+
+fn assert_same(what: &str, got: &OneShotResult, want: &OneShotResult) {
+    assert_eq!(got.0, want.0, "{what}: classical bits");
+    assert_eq!(got.1.re(), want.1.re(), "{what}: re");
+    assert_eq!(got.1.im(), want.1.im(), "{what}: im");
+    assert_eq!(got.2, want.2, "{what}: sample histogram");
+}
+
+/// The engine must produce bit-identical results to a serial `Simulator`
+/// for the same jobs — the pipeline is a scheduling change, never a
+/// numerical one.
 #[test]
-fn legacy_model_matches_pipeline_bit_for_bit() {
+fn engine_matches_serial_simulator_bit_for_bit() {
     let circuit = Arc::new(ghz_with_measure(6));
     let template = ansatz(5, 2);
     let configs = [
@@ -347,63 +392,94 @@ fn legacy_model_matches_pipeline_bit_for_bit() {
         SimConfig::scale_up(2).with_seed(22),
         SimConfig::scale_out(4).with_seed(33),
     ];
-    let run_model = |model: ExecutionModel| {
-        let engine = Engine::start(EngineConfig::default().with_workers(2).with_model(model));
-        let id = engine.register_template("ansatz", &template).unwrap();
-        let mut states = Vec::new();
-        for config in configs {
-            let h = engine
-                .submit(JobRequest::new(JobSpec::OneShot {
-                    circuit: Arc::clone(&circuit),
-                    config,
-                    shots: 32,
-                    return_state: true,
-                }))
-                .unwrap();
-            let JobOutput::OneShot {
-                summary,
-                state,
-                samples,
-            } = h.wait().unwrap()
-            else {
-                panic!("one-shot output expected");
-            };
-            states.push((summary.cbits, state.unwrap(), samples.unwrap()));
-        }
-        let mut sweeps = Vec::new();
-        for i in 0..8 {
-            let h = engine
-                .submit(JobRequest::new(JobSpec::Sweep {
-                    template: id,
-                    params: vec![0.1 * i as f64; template.n_vars()],
-                    returning: SweepReturn::State,
-                }))
-                .unwrap();
-            let JobOutput::Sweep { state, .. } = h.wait().unwrap() else {
-                panic!("sweep output expected");
-            };
-            sweeps.push(state.unwrap());
-        }
-        let _ = engine.shutdown();
-        (states, sweeps)
-    };
-    let (p_states, p_sweeps) = run_model(ExecutionModel::Pipeline);
-    let (l_states, l_sweeps) = run_model(ExecutionModel::Legacy);
-    for (i, ((pc, ps, ph), (lc, ls, lh))) in p_states.iter().zip(&l_states).enumerate() {
-        assert_eq!(pc, lc, "config {i}: classical bits");
-        assert_eq!(ps.re(), ls.re(), "config {i}: re");
-        assert_eq!(ps.im(), ls.im(), "config {i}: im");
-        assert_eq!(ph, lh, "config {i}: sample histogram");
+    let engine = Engine::start(EngineConfig::default().with_workers(2));
+    let id = engine.register_template("ansatz", &template).unwrap();
+    for (i, config) in configs.into_iter().enumerate() {
+        assert_same(
+            &format!("config {i}"),
+            &engine_one_shot(&engine, &circuit, config),
+            &serial_one_shot(&circuit, config),
+        );
     }
-    for (i, (p, l)) in p_sweeps.iter().zip(&l_sweeps).enumerate() {
-        assert_eq!(p.re(), l.re(), "sweep {i}: re");
-        assert_eq!(p.im(), l.im(), "sweep {i}: im");
+    for i in 0..8 {
+        let params = vec![0.1 * f64::from(i); template.n_vars()];
+        let h = engine
+            .submit(JobRequest::new(JobSpec::Sweep {
+                template: id,
+                params: params.clone(),
+                returning: SweepReturn::State,
+            }))
+            .unwrap();
+        let JobOutput::Sweep { state, .. } = h.wait().unwrap() else {
+            panic!("sweep output expected");
+        };
+        let state = state.unwrap();
+        let mut sim = Simulator::new(5, SimConfig::single_device()).unwrap();
+        sim.run(&template.bind(&params).unwrap()).unwrap();
+        assert_eq!(state.re(), sim.state().re(), "sweep {i}: re");
+        assert_eq!(state.im(), sim.state().im(), "sweep {i}: im");
     }
-    // And both match a directly driven simulator.
-    let mut direct = Simulator::new(6, configs[0]).unwrap();
-    let direct_summary = direct.run(&circuit).unwrap();
-    assert_eq!(p_states[0].0, direct_summary.cbits);
-    assert_eq!(p_states[0].1.re(), direct.state().re());
+    let _ = engine.shutdown();
+}
+
+/// Mid-circuit measurement, reset and a classically conditioned gate on
+/// the single device, under both dispatch modes: bit-identical to the
+/// partitioned backends and to a serial `Simulator`, with the reset qubit
+/// back in |0> and the conditional applied exactly when its bit is set.
+#[test]
+fn single_device_measure_reset_and_if_eq_under_both_dispatch_modes() {
+    let mut c = Circuit::with_cbits(4, 2);
+    for q in [0, 1] {
+        c.apply(GateKind::H, &[q], &[]).unwrap();
+    }
+    c.apply(GateKind::CX, &[0, 2], &[]).unwrap();
+    c.measure(0, 0).unwrap();
+    c.reset(1).unwrap();
+    c.if_eq(
+        0,
+        1,
+        1,
+        svsim_ir::Gate::new(GateKind::X, &[3], &[]).unwrap(),
+    )
+    .unwrap();
+    c.apply(GateKind::RY, &[1], &[0.3]).unwrap();
+    c.measure(2, 1).unwrap();
+    let circuit = Arc::new(c);
+    let engine = Engine::start(EngineConfig::default().with_workers(2));
+    let mut fired = [false; 2];
+    for seed in [5, 6, 7, 8] {
+        let base = SimConfig::single_device().with_seed(seed);
+        let reference = serial_one_shot(&circuit, base.with_dispatch(DispatchMode::RuntimeParse));
+        let runs = [
+            ("single/fn-pointer", base),
+            (
+                "single/runtime-parse",
+                base.with_dispatch(DispatchMode::RuntimeParse),
+            ),
+            ("scale-up(2)", SimConfig::scale_up(2).with_seed(seed)),
+            ("scale-out(2)", SimConfig::scale_out(2).with_seed(seed)),
+        ];
+        for (what, config) in runs {
+            let got = engine_one_shot(&engine, &circuit, config);
+            assert_same(&format!("seed {seed} {what}"), &got, &reference);
+        }
+        let (cbits, state, _) = &reference;
+        // CX entangled qubit 2 with the measured qubit 0, so both measured
+        // bits agree.
+        assert_eq!(cbits & 1, (cbits >> 1) & 1, "seed {seed}: correlated bits");
+        // Reset left qubit 1 in |0> before RY(0.3) rotated it.
+        let p1 = svsim_core::measure::prob_one(state, 1);
+        assert!((p1 - (0.15f64).sin().powi(2)).abs() < 1e-12, "seed {seed}");
+        // X on qubit 3 ran exactly when bit 0 read 1.
+        let p3 = svsim_core::measure::prob_one(state, 3);
+        assert!(
+            (p3 - (cbits & 1) as f64).abs() < 1e-12,
+            "seed {seed}: conditional X"
+        );
+        fired[(cbits & 1) as usize] = true;
+    }
+    assert_eq!(fired, [true; 2], "the seeds must cover both branches");
+    let _ = engine.shutdown();
 }
 
 /// Under `SchedMode::Lifo`, the freshest same-priority submission runs

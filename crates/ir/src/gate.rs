@@ -314,11 +314,13 @@ pub struct Gate {
 }
 
 impl Gate {
-    /// Build a gate, validating arity and operand distinctness.
+    /// Build a gate, validating arity, operand distinctness and finite
+    /// parameters.
     ///
     /// # Errors
     /// [`SvError::Arity`] on operand/parameter count mismatch,
-    /// [`SvError::DuplicateQubit`] if a qubit repeats.
+    /// [`SvError::DuplicateQubit`] if a qubit repeats,
+    /// [`SvError::Numeric`] if a parameter is NaN or infinite.
     pub fn new(kind: GateKind, qubits: &[u32], params: &[f64]) -> SvResult<Self> {
         if qubits.len() != kind.n_qubits() {
             return Err(SvError::Arity {
@@ -333,6 +335,12 @@ impl Gate {
                 expected: kind.n_params(),
                 got: params.len(),
             });
+        }
+        if let Some(p) = params.iter().find(|p| !p.is_finite()) {
+            return Err(SvError::Numeric(format!(
+                "{} parameter {p} is not finite",
+                kind.mnemonic()
+            )));
         }
         for (i, &q) in qubits.iter().enumerate() {
             if qubits[..i].contains(&q) {
@@ -430,6 +438,17 @@ impl fmt::Display for Gate {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn non_finite_parameters_are_rejected() {
+        for p in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(matches!(
+                Gate::new(GateKind::U3, &[0], &[p, 0.0, 0.0]),
+                Err(SvError::Numeric(_))
+            ));
+        }
+        assert!(Gate::new(GateKind::U3, &[0], &[0.1, 0.2, 0.3]).is_ok());
+    }
 
     #[test]
     fn table1_has_34_gates() {

@@ -136,6 +136,8 @@ pub enum Statement {
         name: String,
         /// Width.
         size: u64,
+        /// Source line (for error reporting).
+        line: usize,
     },
     /// `creg name[n];`
     CReg {
@@ -143,6 +145,8 @@ pub enum Statement {
         name: String,
         /// Width.
         size: u64,
+        /// Source line (for error reporting).
+        line: usize,
     },
     /// `include "...";`
     Include(String),

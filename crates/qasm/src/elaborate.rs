@@ -226,6 +226,31 @@ impl Elaborator {
                 unreachable!("handled in the first pass")
             }
             Statement::GateDef(def) => {
+                // A body may only call gates defined before it (OpenQASM
+                // 2.0 §3), and a name is defined once: together they keep
+                // the call graph acyclic, so expansion always terminates.
+                for call in &def.body {
+                    let known = builtin_kind(&call.name, self.qelib).is_some()
+                        || self.opaques.contains(&call.name)
+                        || self.gate_defs.contains_key(&call.name);
+                    if !known {
+                        return Err(SvError::Parse {
+                            line: call.line,
+                            col: 1,
+                            msg: format!(
+                                "gate {} calls {}, which is not defined before it \
+                                 (recursive definitions are not allowed)",
+                                def.name, call.name
+                            ),
+                        });
+                    }
+                }
+                if self.gate_defs.contains_key(&def.name) {
+                    return Err(SvError::InvalidConfig(format!(
+                        "gate {} redefined",
+                        def.name
+                    )));
+                }
                 self.gate_defs.insert(def.name.clone(), def.clone());
                 Ok(())
             }
@@ -293,41 +318,33 @@ pub fn elaborate(program: &Program) -> SvResult<Circuit> {
     // First pass: registers and includes (sizes must be known up front).
     for stmt in &program.statements {
         match stmt {
-            Statement::QReg { name, size } => {
-                let base = el.n_qubits;
-                el.n_qubits += *size as u32;
-                if el
-                    .qregs
-                    .insert(
-                        name.clone(),
-                        Reg {
-                            base,
-                            size: *size as u32,
-                        },
-                    )
-                    .is_some()
-                {
+            Statement::QReg { name, size, line } | Statement::CReg { name, size, line } => {
+                let quantum = matches!(stmt, Statement::QReg { .. });
+                let (total, regs, what) = if quantum {
+                    (&mut el.n_qubits, &mut el.qregs, "quantum")
+                } else {
+                    (&mut el.n_cbits, &mut el.cregs, "classical")
+                };
+                // Widths live in u32 index space: a size or running total
+                // past u32::MAX must fail here, not wrap.
+                let base = *total;
+                let size32 = u32::try_from(*size)
+                    .ok()
+                    .filter(|s| base.checked_add(*s).is_some())
+                    .ok_or_else(|| SvError::Parse {
+                        line: *line,
+                        col: 1,
+                        msg: format!(
+                            "{what} register {name}[{size}] overflows the index space \
+                             ({base} already declared, at most {} in total)",
+                            u32::MAX
+                        ),
+                    })?;
+                *total += size32;
+                let reg = Reg { base, size: size32 };
+                if regs.insert(name.clone(), reg).is_some() {
                     return Err(SvError::InvalidConfig(format!(
-                        "quantum register {name} redeclared"
-                    )));
-                }
-            }
-            Statement::CReg { name, size } => {
-                let base = el.n_cbits;
-                el.n_cbits += *size as u32;
-                if el
-                    .cregs
-                    .insert(
-                        name.clone(),
-                        Reg {
-                            base,
-                            size: *size as u32,
-                        },
-                    )
-                    .is_some()
-                {
-                    return Err(SvError::InvalidConfig(format!(
-                        "classical register {name} redeclared"
+                        "{what} register {name} redeclared"
                     )));
                 }
             }
@@ -502,6 +519,54 @@ mod tests {
     #[test]
     fn out_of_range_index() {
         assert!(parse_circuit(&format!("{HEADER}qreg q[2];\nx q[5];")).is_err());
+    }
+
+    #[test]
+    fn recursive_gate_definitions_are_typed_errors() {
+        // Direct and mutual recursion used to expand without bound and
+        // abort the process on stack overflow.
+        for body in [
+            "gate g a { g a; }\nqreg q[1];\ng q[0];",
+            "gate a x { b x; }\ngate b x { a x; }\nqreg q[1];\na q[0];",
+        ] {
+            let err = parse_circuit(&format!("{HEADER}{body}")).unwrap_err();
+            assert!(
+                matches!(&err, SvError::Parse { msg, .. } if msg.contains("not defined before")),
+                "{err}"
+            );
+        }
+        // Redefining a gate would let an earlier body reach a later one.
+        let src = format!("{HEADER}gate g a {{ x a; }}\ngate g a {{ g a; }}\nqreg q[1];\ng q[0];");
+        assert!(matches!(
+            parse_circuit(&src),
+            Err(SvError::InvalidConfig(msg)) if msg.contains("redefined")
+        ));
+    }
+
+    #[test]
+    fn non_finite_parameters_are_parse_errors() {
+        for call in ["u3(1/0,0,0) q[0];", "rx(0/0) q[0];", "u1(-1/0) q[0];"] {
+            let src = format!("{HEADER}qreg q[1];\n{call}");
+            assert!(
+                matches!(parse_circuit(&src), Err(SvError::Parse { line: 4, .. })),
+                "{call}"
+            );
+        }
+    }
+
+    #[test]
+    fn oversized_registers_are_rejected_not_wrapped() {
+        for decls in [
+            "qreg q[99999999999];",
+            "qreg a[4000000000];\nqreg b[4000000000];",
+            "qreg q[1];\ncreg c[99999999999];",
+        ] {
+            let err = parse_circuit(&format!("{HEADER}{decls}")).unwrap_err();
+            assert!(
+                matches!(&err, SvError::Parse { msg, .. } if msg.contains("overflows")),
+                "{err}"
+            );
+        }
     }
 
     #[test]

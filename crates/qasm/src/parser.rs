@@ -274,10 +274,19 @@ impl Parser {
                     let size = self.expect_int()?;
                     self.expect(&TokenKind::RBracket)?;
                     self.expect(&TokenKind::Semicolon)?;
+                    let line = tok.line;
                     if is_q {
-                        Ok(Statement::QReg { name: rname, size })
+                        Ok(Statement::QReg {
+                            name: rname,
+                            size,
+                            line,
+                        })
                     } else {
-                        Ok(Statement::CReg { name: rname, size })
+                        Ok(Statement::CReg {
+                            name: rname,
+                            size,
+                            line,
+                        })
                     }
                 }
                 "include" => {
@@ -385,7 +394,7 @@ mod tests {
         assert_eq!(p.statements.len(), 6);
         assert!(matches!(
             &p.statements[1],
-            Statement::QReg { name, size: 2 } if name == "q"
+            Statement::QReg { name, size: 2, .. } if name == "q"
         ));
         assert!(matches!(&p.statements[5], Statement::Measure { .. }));
     }

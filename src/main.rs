@@ -9,11 +9,8 @@
 //! sv-sim platforms
 //! sv-sim serve-bench [--workers N] [--sweeps N] [--one-shots N]
 //!                    [--batch N] [--seed S] [--reps N]
-//!                    [--model pipeline|legacy] [--stage-capacity N]
-//!                    [--sched fifo|lifo] [--limit-memory-mb N]
-//!                    [--fuse W]
-//!                    [--compare [--smalls N] [--shots N] [--out FILE]
-//!                               [--assert-min-ratio R] [--assert-max-p99-ratio R]]
+//!                    [--stage-capacity N] [--sched fifo|lifo]
+//!                    [--limit-memory-mb N] [--assert-min-ratio R]
 //! sv-sim fuse-bench [--window W] [--seed S] [--reps N] [--min-gates G]
 //!                   [--max-qubits M] [--out FILE] [--assert-min-gates-per-pass R]
 //! sv-sim fault-bench [--fault kill-pe|drop-put|poison-barrier|hang-pe|torn-checkpoint|exec]
@@ -41,9 +38,7 @@ fn usage() -> ExitCode {
          sv-sim estimate <file.qasm> --platform <name> [--workers N]\n  \
          sv-sim platforms\n  \
          sv-sim serve-bench [--workers N] [--sweeps N] [--one-shots N] [--batch N] [--seed S] [--reps N] \
-         [--model pipeline|legacy] [--stage-capacity N] [--sched fifo|lifo] [--limit-memory-mb N] \
-         [--fuse W] [--compare [--smalls N] [--shots N] [--out FILE] [--assert-min-ratio R] \
-         [--assert-max-p99-ratio R]]\n  \
+         [--stage-capacity N] [--sched fifo|lifo] [--limit-memory-mb N] [--assert-min-ratio R]\n  \
          sv-sim fuse-bench [--window W] [--seed S] [--reps N] [--min-gates G] [--max-qubits M] \
          [--out FILE] [--assert-min-gates-per-pass R]\n  \
          sv-sim fault-bench [--fault kill-pe|drop-put|poison-barrier|hang-pe|torn-checkpoint|exec] \
@@ -321,17 +316,6 @@ fn cmd_estimate(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-/// Parse `--model pipeline|legacy` (pipeline — the engine default — when
-/// absent).
-fn parse_model(args: &[String]) -> Result<sv_sim::engine::ExecutionModel, String> {
-    use sv_sim::engine::ExecutionModel;
-    match flag_value(args, "--model") {
-        None | Some("pipeline") => Ok(ExecutionModel::Pipeline),
-        Some("legacy") => Ok(ExecutionModel::Legacy),
-        Some(other) => Err(format!("unknown --model {other} (pipeline|legacy)")),
-    }
-}
-
 /// Parse `--sched fifo|lifo` (FIFO when absent).
 fn parse_sched(args: &[String]) -> Result<sv_sim::engine::SchedMode, String> {
     use sv_sim::engine::SchedMode;
@@ -374,33 +358,23 @@ fn submit_flow_controlled(
     Err("engine kept rejecting submissions for ~5s".into())
 }
 
-/// `p`-th percentile of an ascending-sorted latency sample (nearest-rank).
-fn percentile(sorted_ms: &[f64], p: f64) -> f64 {
-    if sorted_ms.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted_ms.len() - 1) as f64 * p).round() as usize;
-    sorted_ms[idx.min(sorted_ms.len() - 1)]
-}
-
 /// Drive the serving engine with a synthetic request mix — Table 4 medium
 /// circuits arriving as OpenQASM one-shots plus QAOA/QNN parameter sweeps —
 /// then replay the identical work naively (fresh simulator, re-synthesized
-/// circuit per request) and compare wall-clock. With `--compare`, instead
-/// race the legacy worker pool against the staged pipeline on one mixed
-/// stream (see [`serve_compare`]).
+/// circuit per request) and compare wall-clock. Every job's output must be
+/// bit-identical between the two paths (gate counts equal, sweep values
+/// equal through `f64::to_bits`); with `--assert-min-ratio R` the
+/// engine/naive throughput ratio becomes a hard floor.
 fn cmd_serve_bench(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     use std::sync::Arc;
     use std::time::Instant;
-    use sv_sim::engine::{Engine, EngineConfig, JobRequest, JobSpec, Priority, SweepReturn};
+    use sv_sim::engine::{
+        Engine, EngineConfig, JobOutput, JobRequest, JobSpec, Priority, SweepReturn,
+    };
     use sv_sim::types::SvRng;
     use sv_sim::vqa::{qaoa_params, qaoa_template, qnn_params, qnn_template};
     use sv_sim::workloads::qaoa::Graph;
     use sv_sim::workloads::qnn::qnn_n_weights;
-
-    if args.iter().any(|a| a == "--compare") {
-        return serve_compare(args);
-    }
 
     // Default worker count follows EngineConfig::default() (available
     // parallelism): on a single-CPU host extra workers only add context
@@ -412,10 +386,12 @@ fn cmd_serve_bench(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let max_batch: usize = flag_value(args, "--batch").map_or(Ok(16), str::parse)?;
     let seed: u64 = flag_value(args, "--seed").map_or(Ok(0x5EBE), str::parse)?;
     let reps: usize = flag_value(args, "--reps").map_or(Ok(3), str::parse)?.max(1);
-    let model = parse_model(args)?;
     let stage_capacity: usize = flag_value(args, "--stage-capacity").map_or(Ok(0), str::parse)?;
     let sched = parse_sched(args)?;
     let alloc = parse_alloc(args)?;
+    let assert_min_ratio: Option<f64> = flag_value(args, "--assert-min-ratio")
+        .map(str::parse)
+        .transpose()?;
 
     // --- Synthetic mix ----------------------------------------------------
     // One-shots cross the service boundary as OpenQASM text; parsing is
@@ -425,18 +401,18 @@ fn cmd_serve_bench(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     // allocation is a large share of the job (so instance pooling matters).
     use sv_sim::workloads::{algos::cat_state, states::w_state};
     let qasm_sources = [
-        ("cat_n16", sv_sim::qasm::to_qasm(&cat_state(16)?)?),
-        ("w_n16", sv_sim::qasm::to_qasm(&w_state(16)?)?),
-        ("cat_n17", sv_sim::qasm::to_qasm(&cat_state(17)?)?),
-        ("w_n17", sv_sim::qasm::to_qasm(&w_state(17)?)?),
+        sv_sim::qasm::to_qasm(&cat_state(16)?)?,
+        sv_sim::qasm::to_qasm(&w_state(16)?)?,
+        sv_sim::qasm::to_qasm(&cat_state(17)?)?,
+        sv_sim::qasm::to_qasm(&w_state(17)?)?,
     ];
 
     let graph = Graph::random(8, 0.4, seed);
     let qaoa = qaoa_template(&graph, 2)?;
     let qnn = qnn_template(7, 2)?;
     let n_weights = qnn_n_weights(7, 2);
-    let qnn_readout_mask = 1u64 << 7;
-    let qaoa_mask = (1u64 << 8) - 1;
+    // Each sweep family: its template and the Z mask its jobs read out.
+    let families = [(&qaoa, (1u64 << 8) - 1), (&qnn, 1u64 << 7)];
 
     let mut rng = SvRng::seed_from_u64(seed);
     let qaoa_points: Vec<Vec<f64>> = (0..sweeps.div_ceil(2))
@@ -454,8 +430,34 @@ fn cmd_serve_bench(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         })
         .collect();
 
+    // The request stream in submission order: the one-shots, then the two
+    // sweep families interleaved so coalescing has to pick same-template
+    // neighbors out of a mixed queue.
+    enum Work<'a> {
+        OneShot { src: &'a str, seed: u64, high: bool },
+        Sweep { family: usize, params: &'a [f64] },
+    }
+    let mut stream: Vec<Work<'_>> = qasm_sources
+        .iter()
+        .cycle()
+        .take(one_shots)
+        .enumerate()
+        .map(|(i, src)| Work::OneShot {
+            src,
+            seed: seed ^ i as u64,
+            high: i % 4 == 0,
+        })
+        .collect();
+    for i in 0..qaoa_points.len().max(qnn_points.len()) {
+        for (family, points) in [&qaoa_points, &qnn_points].into_iter().enumerate() {
+            if let Some(params) = points.get(i) {
+                stream.push(Work::Sweep { family, params });
+            }
+        }
+    }
+
     println!(
-        "serve-bench [{model:?}]: {} one-shots + {} sweep points ({} QAOA, {} QNN), {} workers, batch {}, best of {} reps",
+        "serve-bench: {} one-shots + {} sweep points ({} QAOA, {} QNN), {} workers, batch {}, best of {} reps",
         one_shots,
         qaoa_points.len() + qnn_points.len(),
         qaoa_points.len(),
@@ -465,89 +467,65 @@ fn cmd_serve_bench(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         reps,
     );
 
+    // Each path yields one word per job, in stream order: a one-shot's gate
+    // count, or the bit pattern of a sweep's expectation value.
+
     // --- Engine-served path -----------------------------------------------
     // The engine persists across repetitions, as a real service would: the
     // templates stay registered and the instance pool stays warm. Each rep
-    // replays the identical request stream; report the best rep (this is a
-    // 1-CPU container, so the OS scheduler adds multi-ms run-to-run noise).
+    // replays the identical request stream; report the best rep (the OS
+    // scheduler adds multi-ms run-to-run noise).
     let engine = Engine::start(
         EngineConfig::default()
             .with_workers(workers)
             .with_max_batch(max_batch)
-            .with_model(model)
             .with_stage_capacity(stage_capacity)
             .with_sched(sched)
             .with_alloc(alloc),
     );
-    let qaoa_id = engine.register_template("qaoa_maxcut_n8", &qaoa)?;
-    let qnn_id = engine.register_template("qnn_grid_n8", &qnn)?;
+    let ids = [
+        engine.register_template("qaoa_maxcut_n8", &qaoa)?,
+        engine.register_template("qnn_grid_n8", &qnn)?,
+    ];
 
     let mut engine_elapsed = std::time::Duration::MAX;
-    let mut engine_checksum = 0.0f64;
+    let mut engine_outputs = Vec::new();
     for _ in 0..reps {
         let t0 = Instant::now();
-        let mut handles = Vec::new();
-        for (i, (_, src)) in qasm_sources.iter().cycle().take(one_shots).enumerate() {
-            let circuit = Arc::new(parse_circuit(src)?);
-            let mut config = SimConfig::single_device();
-            config.seed = seed ^ i as u64;
-            let request = JobRequest::new(JobSpec::OneShot {
-                circuit,
-                config,
-                shots: 0,
-                return_state: false,
-            })
-            .with_priority(if i % 4 == 0 {
-                Priority::High
-            } else {
-                Priority::Normal
-            });
+        let mut handles = Vec::with_capacity(stream.len());
+        for work in &stream {
+            let request = match *work {
+                Work::OneShot { src, seed, high } => JobRequest::new(JobSpec::OneShot {
+                    circuit: Arc::new(parse_circuit(src)?),
+                    config: SimConfig::single_device().with_seed(seed),
+                    shots: 0,
+                    return_state: false,
+                })
+                .with_priority(if high {
+                    Priority::High
+                } else {
+                    Priority::Normal
+                }),
+                Work::Sweep { family, params } => JobRequest::new(JobSpec::Sweep {
+                    template: ids[family],
+                    params: params.to_vec(),
+                    returning: SweepReturn::ExpZ(families[family].1),
+                })
+                .with_priority(Priority::Low),
+            };
             handles.push(submit_flow_controlled(&engine, &request)?);
-        }
-        // Interleave the two sweep families so coalescing has to pick same-
-        // template neighbors out of a mixed queue.
-        let mut qa = qaoa_points.iter();
-        let mut qn = qnn_points.iter();
-        loop {
-            let a = qa.next();
-            let b = qn.next();
-            if a.is_none() && b.is_none() {
-                break;
-            }
-            if let Some(p) = a {
-                let request = JobRequest::new(JobSpec::Sweep {
-                    template: qaoa_id,
-                    params: p.clone(),
-                    returning: SweepReturn::ExpZ(qaoa_mask),
-                })
-                .with_priority(Priority::Low);
-                handles.push(submit_flow_controlled(&engine, &request)?);
-            }
-            if let Some(p) = b {
-                let request = JobRequest::new(JobSpec::Sweep {
-                    template: qnn_id,
-                    params: p.clone(),
-                    returning: SweepReturn::ExpZ(qnn_readout_mask),
-                })
-                .with_priority(Priority::Low);
-                handles.push(submit_flow_controlled(&engine, &request)?);
-            }
         }
         // Wait newest-first: one blocking wait covers most of the backlog and
         // the remaining results are already published when reached.
-        let mut checksum = 0.0f64;
-        for h in handles.iter().rev() {
-            match h.wait().map_err(|e| e.to_string())? {
-                sv_sim::engine::JobOutput::Sweep { value, .. } => {
-                    checksum += value.unwrap_or(0.0);
-                }
-                sv_sim::engine::JobOutput::OneShot { summary, .. } => {
-                    checksum += summary.gates as f64;
-                }
-            }
+        let mut outputs = vec![0u64; handles.len()];
+        for (out, h) in outputs.iter_mut().zip(&handles).rev() {
+            *out = match h.wait().map_err(|e| e.to_string())? {
+                JobOutput::Sweep { value, .. } => value.ok_or("sweep returned no value")?.to_bits(),
+                JobOutput::OneShot { summary, .. } => summary.gates as u64,
+            };
         }
         engine_elapsed = engine_elapsed.min(t0.elapsed());
-        engine_checksum = checksum;
+        engine_outputs = outputs;
     }
     let metrics = engine.shutdown();
 
@@ -555,477 +533,70 @@ fn cmd_serve_bench(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     // The same logical work the way a library client does it: re-parse /
     // re-synthesize every circuit, construct a fresh simulator per request.
     let mut naive_elapsed = std::time::Duration::MAX;
-    let mut naive_checksum = 0.0f64;
+    let mut naive_outputs = Vec::new();
     for _ in 0..reps {
         let t1 = Instant::now();
-        let mut checksum = 0.0f64;
-        for (i, (_, src)) in qasm_sources.iter().cycle().take(one_shots).enumerate() {
-            let circuit = parse_circuit(src)?;
-            let mut config = SimConfig::single_device();
-            config.seed = seed ^ i as u64;
-            let mut sim = Simulator::new(circuit.n_qubits(), config)?;
-            checksum += sim.run(&circuit)?.gates as f64;
-        }
-        for p in &qaoa_points {
-            let circuit = qaoa.bind(p)?;
-            let mut sim = Simulator::new(8, SimConfig::single_device())?;
-            sim.run(&circuit)?;
-            checksum += measure::expval_z_mask(sim.state(), qaoa_mask);
-        }
-        for p in &qnn_points {
-            let circuit = qnn.bind(p)?;
-            let mut sim = Simulator::new(8, SimConfig::single_device())?;
-            sim.run(&circuit)?;
-            checksum += measure::expval_z_mask(sim.state(), qnn_readout_mask);
+        let mut outputs = Vec::with_capacity(stream.len());
+        for work in &stream {
+            outputs.push(match *work {
+                Work::OneShot { src, seed, .. } => {
+                    let circuit = parse_circuit(src)?;
+                    let config = SimConfig::single_device().with_seed(seed);
+                    let mut sim = Simulator::new(circuit.n_qubits(), config)?;
+                    sim.run(&circuit)?.gates as u64
+                }
+                Work::Sweep { family, params } => {
+                    let (template, mask) = families[family];
+                    let circuit = template.bind(params)?;
+                    let mut sim = Simulator::new(circuit.n_qubits(), SimConfig::single_device())?;
+                    sim.run(&circuit)?;
+                    measure::expval_z_mask(sim.state(), mask).to_bits()
+                }
+            });
         }
         naive_elapsed = naive_elapsed.min(t1.elapsed());
-        naive_checksum = checksum;
+        naive_outputs = outputs;
     }
 
     // --- Report ------------------------------------------------------------
+    let speedup = naive_elapsed.as_secs_f64() / engine_elapsed.as_secs_f64();
+    let mismatches = engine_outputs
+        .iter()
+        .zip(&naive_outputs)
+        .filter(|(e, n)| e != n)
+        .count();
     println!();
     println!("{metrics}");
     println!();
     println!(
-        "engine-served: {:>9.3} ms  (checksum {engine_checksum:+.9})",
+        "engine-served: {:>9.3} ms",
         engine_elapsed.as_secs_f64() * 1e3
     );
     println!(
-        "naive serial:  {:>9.3} ms  (checksum {naive_checksum:+.9})",
+        "naive serial:  {:>9.3} ms",
         naive_elapsed.as_secs_f64() * 1e3
     );
     println!(
-        "speedup: {:.2}x",
-        naive_elapsed.as_secs_f64() / engine_elapsed.as_secs_f64()
+        "outputs: {} of {} jobs bit-identical",
+        engine_outputs.len() - mismatches,
+        engine_outputs.len()
     );
+    println!("speedup: {speedup:.2}x");
     if metrics.races_detected > 0 {
         return Err(format!("{} SHMEM protocol races detected", metrics.races_detected).into());
     }
-    if (engine_checksum - naive_checksum).abs() > 1e-6 {
+    if mismatches > 0 || engine_outputs.len() != naive_outputs.len() {
         return Err(format!(
-            "checksum mismatch: engine {engine_checksum} vs naive {naive_checksum}"
+            "{mismatches} of {} job outputs differ between engine and naive",
+            engine_outputs.len()
         )
         .into());
     }
-    Ok(())
-}
-
-/// Race the legacy worker pool against the staged pipeline on one mixed
-/// request stream and write `BENCH_8.json`.
-///
-/// The stream is the head-of-line-blocking shape the pipeline exists for:
-/// latency-sensitive small one-shots interleaved behind wide one-shots
-/// that owe thousands of post-run samples (readback work the pipeline
-/// moves off the execute worker), over a background of QAOA/QNN sweep
-/// points. Both models receive the *same* `Arc<Circuit>`s — a front-end
-/// parse cache — so repeated submissions exercise the compile stage's
-/// plan cache. Gates: results must be bit-identical across models
-/// (checksums compared exactly), zero SHMEM races, and with
-/// `--assert-min-ratio R` the pipeline/legacy throughput ratio becomes a
-/// hard floor.
-fn serve_compare(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    use std::fmt::Write as _;
-    use std::sync::Arc;
-    use std::time::{Duration, Instant};
-    use sv_sim::engine::{
-        Engine, EngineConfig, ExecutionModel, JobOutput, JobRequest, JobSpec, MetricsSnapshot,
-        Priority, SweepReturn,
-    };
-    use sv_sim::types::SvRng;
-    use sv_sim::vqa::{qaoa_params, qaoa_template, qnn_params, qnn_template};
-    use sv_sim::workloads::qaoa::Graph;
-    use sv_sim::workloads::qnn::qnn_n_weights;
-    use sv_sim::workloads::{algos::cat_state, states::w_state};
-
-    let default_workers = EngineConfig::default().workers;
-    let workers: usize = flag_value(args, "--workers").map_or(Ok(default_workers), str::parse)?;
-    let max_batch: usize = flag_value(args, "--batch").map_or(Ok(16), str::parse)?;
-    let seed: u64 = flag_value(args, "--seed").map_or(Ok(0x5EBE), str::parse)?;
-    let reps: usize = flag_value(args, "--reps").map_or(Ok(3), str::parse)?.max(1);
-    let smalls: usize = flag_value(args, "--smalls").map_or(Ok(48), str::parse)?;
-    let larges: usize = flag_value(args, "--one-shots").map_or(Ok(12), str::parse)?;
-    let sweeps: usize = flag_value(args, "--sweeps").map_or(Ok(64), str::parse)?;
-    let shots: usize = flag_value(args, "--shots").map_or(Ok(2048), str::parse)?;
-    let stage_capacity: usize = flag_value(args, "--stage-capacity").map_or(Ok(0), str::parse)?;
-    let sched = parse_sched(args)?;
-    let alloc = parse_alloc(args)?;
-    let out_path = flag_value(args, "--out").unwrap_or("BENCH_8.json");
-    let assert_min_ratio: Option<f64> = flag_value(args, "--assert-min-ratio")
-        .map(str::parse)
-        .transpose()?;
-    let assert_max_p99_ratio: Option<f64> = flag_value(args, "--assert-max-p99-ratio")
-        .map(str::parse)
-        .transpose()?;
-    let fuse: u8 = flag_value(args, "--fuse").map_or(Ok(0), str::parse)?;
-
-    // One-shots cross the service boundary as OpenQASM text. Each source is
-    // parsed once and the `Arc<Circuit>` shared across requests — a service
-    // front-end holding a parse cache — so repeated submissions of one
-    // circuit are exactly the shape the compile stage's plan cache serves.
-    // Both models receive the identical `Arc`s. The small circuit is
-    // narrow but deep (a hardware-efficient ansatz shape): cheap on
-    // amplitudes, expensive to lower, so the cached plan is a real share
-    // of its cost.
-    const SMALL_QUBITS: u32 = 10;
-    const SMALL_LAYERS: u32 = 20;
-    const LARGE_QUBITS: u32 = 17;
-    let small_circuit = {
-        let mut c = sv_sim::ir::Circuit::with_cbits(SMALL_QUBITS, 0);
-        for q in 0..SMALL_QUBITS {
-            c.apply(sv_sim::ir::GateKind::H, &[q], &[])?;
-        }
-        for layer in 0..SMALL_LAYERS {
-            for q in 0..SMALL_QUBITS {
-                let theta = 0.1 * f64::from(layer + 1) + 0.01 * f64::from(q);
-                c.apply(sv_sim::ir::GateKind::RY, &[q], &[theta])?;
-            }
-            for q in 0..SMALL_QUBITS {
-                c.apply(sv_sim::ir::GateKind::CX, &[q, (q + 1) % SMALL_QUBITS], &[])?;
-            }
-        }
-        Arc::new(parse_circuit(&sv_sim::qasm::to_qasm(&c)?)?)
-    };
-    let large_circuits = [
-        Arc::new(parse_circuit(&sv_sim::qasm::to_qasm(&cat_state(
-            LARGE_QUBITS,
-        )?)?)?),
-        Arc::new(parse_circuit(&sv_sim::qasm::to_qasm(&w_state(
-            LARGE_QUBITS,
-        )?)?)?),
-    ];
-
-    let graph = Graph::random(8, 0.4, seed);
-    let qaoa = qaoa_template(&graph, 2)?;
-    let qnn = qnn_template(7, 2)?;
-    let n_weights = qnn_n_weights(7, 2);
-    let qnn_readout_mask = 1u64 << 7;
-    let qaoa_mask = (1u64 << 8) - 1;
-    let mut rng = SvRng::seed_from_u64(seed);
-    let qaoa_points: Vec<Vec<f64>> = (0..sweeps.div_ceil(2))
-        .map(|_| {
-            let gammas = [rng.range_f64(-2.0, 2.0), rng.range_f64(-2.0, 2.0)];
-            let betas = [rng.range_f64(-1.0, 1.0), rng.range_f64(-1.0, 1.0)];
-            qaoa_params(&gammas, &betas)
-        })
-        .collect();
-    let qnn_points: Vec<Vec<f64>> = (0..sweeps / 2)
-        .map(|_| {
-            let features: Vec<f64> = (0..7).map(|_| rng.range_f64(0.0, 1.0)).collect();
-            let weights: Vec<f64> = (0..n_weights).map(|_| rng.range_f64(-1.5, 1.5)).collect();
-            qnn_params(&features, &weights)
-        })
-        .collect();
-
-    // Arrival order: each wide sampled one-shot immediately followed by a
-    // burst of small ones, so under FIFO the smalls queue *behind* the
-    // large job — the co-scheduling pattern whose tail latency the
-    // pipeline is supposed to fix by offloading the large job's sampling
-    // to the readback stage.
-    enum Shot {
-        Small(usize),
-        Large(usize),
-    }
-    let stride = (smalls / larges.max(1)).max(1);
-    let mut order: Vec<Shot> = Vec::with_capacity(smalls + larges);
-    {
-        let mut s = 0;
-        for l in 0..larges {
-            order.push(Shot::Large(l));
-            for _ in 0..stride {
-                if s < smalls {
-                    order.push(Shot::Small(s));
-                    s += 1;
-                }
-            }
-        }
-        while s < smalls {
-            order.push(Shot::Small(s));
-            s += 1;
-        }
-    }
-
-    fn output_checksum(out: &JobOutput) -> f64 {
-        match out {
-            JobOutput::OneShot {
-                summary, samples, ..
-            } => {
-                let mut c = summary.gates as f64;
-                if let Some(hist) = samples {
-                    for (&bits, &count) in hist {
-                        c += bits as f64 * count as f64;
-                    }
-                }
-                c
-            }
-            JobOutput::Sweep { value, .. } => value.unwrap_or(0.0),
-        }
-    }
-
-    struct ModelOutcome {
-        wall: Duration,
-        small_lat_ms: Vec<f64>,
-        checksum: f64,
-        metrics: MetricsSnapshot,
-    }
-
-    let start_engine = |model: ExecutionModel| -> Result<
-        (
-            Engine,
-            sv_sim::engine::TemplateId,
-            sv_sim::engine::TemplateId,
-        ),
-        Box<dyn std::error::Error>,
-    > {
-        let engine = Engine::start(
-            EngineConfig::default()
-                .with_workers(workers)
-                .with_max_batch(max_batch)
-                .with_model(model)
-                .with_stage_capacity(stage_capacity)
-                .with_sched(sched)
-                .with_alloc(alloc),
-        );
-        let qaoa_id = engine.register_template_fused("qaoa_maxcut_n8", &qaoa, fuse)?;
-        let qnn_id = engine.register_template_fused("qnn_grid_n8", &qnn, fuse)?;
-        Ok((engine, qaoa_id, qnn_id))
-    };
-
-    // One replay of the request stream against a running engine; returns
-    // (wall, per-small latencies in submission order, checksum).
-    let run_rep = |engine: &Engine,
-                   qaoa_id: sv_sim::engine::TemplateId,
-                   qnn_id: sv_sim::engine::TemplateId|
-     -> Result<(Duration, Vec<f64>, f64), Box<dyn std::error::Error>> {
-        {
-            let t0 = Instant::now();
-            let mut handles = Vec::with_capacity(order.len() + sweeps);
-            for shot in &order {
-                let (circuit, i, small) = match shot {
-                    Shot::Small(i) => (Arc::clone(&small_circuit), *i, true),
-                    Shot::Large(i) => (
-                        Arc::clone(&large_circuits[*i % large_circuits.len()]),
-                        *i,
-                        false,
-                    ),
-                };
-                let mut config = SimConfig::single_device().with_fusion(fuse);
-                config.seed = seed ^ ((i as u64) << 1) ^ u64::from(small);
-                let request = JobRequest::new(JobSpec::OneShot {
-                    circuit,
-                    config,
-                    shots: if small { 0 } else { shots },
-                    return_state: false,
-                });
-                let handle = submit_flow_controlled(engine, &request)?;
-                handles.push((Instant::now(), handle, small));
-            }
-            let mut qa = qaoa_points.iter();
-            let mut qn = qnn_points.iter();
-            loop {
-                let a = qa.next();
-                let b = qn.next();
-                if a.is_none() && b.is_none() {
-                    break;
-                }
-                if let Some(p) = a {
-                    let request = JobRequest::new(JobSpec::Sweep {
-                        template: qaoa_id,
-                        params: p.clone(),
-                        returning: SweepReturn::ExpZ(qaoa_mask),
-                    })
-                    .with_priority(Priority::Low);
-                    let handle = submit_flow_controlled(engine, &request)?;
-                    handles.push((Instant::now(), handle, false));
-                }
-                if let Some(p) = b {
-                    let request = JobRequest::new(JobSpec::Sweep {
-                        template: qnn_id,
-                        params: p.clone(),
-                        returning: SweepReturn::ExpZ(qnn_readout_mask),
-                    })
-                    .with_priority(Priority::Low);
-                    let handle = submit_flow_controlled(engine, &request)?;
-                    handles.push((Instant::now(), handle, false));
-                }
-            }
-            // Collect the smalls first (their completion is what's timed;
-            // blocking on a not-yet-done small never delays the engine),
-            // then the rest; checksum in submission order so the f64 sum
-            // is order-stable across models.
-            let mut outputs: Vec<Option<JobOutput>> = Vec::with_capacity(handles.len());
-            outputs.resize_with(handles.len(), || None);
-            let mut lats = Vec::with_capacity(smalls);
-            for (i, (submitted, handle, small)) in handles.iter().enumerate() {
-                if *small {
-                    outputs[i] = Some(handle.wait().map_err(|e| e.to_string())?);
-                    lats.push(submitted.elapsed().as_secs_f64() * 1e3);
-                }
-            }
-            for (i, (_, handle, small)) in handles.iter().enumerate() {
-                if !*small {
-                    outputs[i] = Some(handle.wait().map_err(|e| e.to_string())?);
-                }
-            }
-            let wall = t0.elapsed();
-            let checksum = outputs.iter().flatten().map(output_checksum).sum();
-            Ok((wall, lats, checksum))
-        }
-    };
-
-    let total_jobs = smalls + larges + qaoa_points.len() + qnn_points.len();
-    println!(
-        "serve-bench --compare: {smalls} small (n={SMALL_QUBITS}) + {larges} large (n={LARGE_QUBITS}, {shots} shots) one-shots + {} sweep points, {workers} workers, best of {reps} reps",
-        qaoa_points.len() + qnn_points.len(),
-    );
-
-    // Interleave repetitions legacy/pipeline/legacy/pipeline so host noise
-    // (this may be a shared single-CPU container) lands on both models
-    // evenly rather than biasing whichever ran last; keep each model's
-    // best repetition.
-    let (legacy_engine, lqaoa, lqnn) = start_engine(ExecutionModel::Legacy)?;
-    let (pipeline_engine, pqaoa, pqnn) = start_engine(ExecutionModel::Pipeline)?;
-    let mut best = [
-        (Duration::MAX, Vec::new(), 0.0f64),
-        (Duration::MAX, Vec::new(), 0.0f64),
-    ];
-    for _ in 0..reps {
-        for (slot, rep) in [
-            run_rep(&legacy_engine, lqaoa, lqnn)?,
-            run_rep(&pipeline_engine, pqaoa, pqnn)?,
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            best[slot].2 = rep.2;
-            if rep.0 < best[slot].0 {
-                best[slot] = rep;
-            }
-        }
-    }
-    let outcome = |(wall, mut lat, checksum): (Duration, Vec<f64>, f64),
-                   metrics: MetricsSnapshot| {
-        lat.sort_by(f64::total_cmp);
-        ModelOutcome {
-            wall,
-            small_lat_ms: lat,
-            checksum,
-            metrics,
-        }
-    };
-    let [legacy_best, pipeline_best] = best;
-    let legacy = outcome(legacy_best, legacy_engine.shutdown());
-    let pipeline = outcome(pipeline_best, pipeline_engine.shutdown());
-
-    let jobs_per_s = |o: &ModelOutcome| total_jobs as f64 / o.wall.as_secs_f64();
-    let ratio = jobs_per_s(&pipeline) / jobs_per_s(&legacy);
-    let p50 = |o: &ModelOutcome| percentile(&o.small_lat_ms, 0.50);
-    let p99 = |o: &ModelOutcome| percentile(&o.small_lat_ms, 0.99);
-    let p99_ratio = p99(&pipeline) / p99(&legacy).max(f64::MIN_POSITIVE);
-    println!();
-    for (name, o) in [("legacy", &legacy), ("pipeline", &pipeline)] {
-        println!(
-            "{name:>9}: {:>9.3} ms wall  {:>8.1} jobs/s  small p50 {:>8.3} ms  p99 {:>8.3} ms  (checksum {:+.9})",
-            o.wall.as_secs_f64() * 1e3,
-            jobs_per_s(o),
-            p50(o),
-            p99(o),
-            o.checksum,
-        );
-    }
-    println!("throughput ratio (pipeline/legacy): {ratio:.3}x   small p99 ratio: {p99_ratio:.3}x");
-    if args.iter().any(|a| a == "--verbose") {
-        for (name, o) in [("legacy", &legacy), ("pipeline", &pipeline)] {
-            println!("\n-- {name} engine metrics --\n{}", o.metrics);
-        }
-    }
-
-    let mut json = String::new();
-    writeln!(json, "{{")?;
-    writeln!(json, "  \"bench\": \"pipeline_serve\",")?;
-    writeln!(json, "  \"seed\": {seed},")?;
-    writeln!(json, "  \"workers\": {workers},")?;
-    writeln!(json, "  \"reps\": {reps},")?;
-    writeln!(
-        json,
-        "  \"mix\": {{\"small_one_shots\": {smalls}, \"small_qubits\": {SMALL_QUBITS}, \
-         \"large_one_shots\": {larges}, \"large_qubits\": {LARGE_QUBITS}, \
-         \"large_shots\": {shots}, \"sweep_points\": {}}},",
-        qaoa_points.len() + qnn_points.len(),
-    )?;
-    for (name, o) in [("legacy", &legacy), ("pipeline", &pipeline)] {
-        writeln!(
-            json,
-            "  \"{name}\": {{\"wall_ms\": {:.3}, \"jobs_per_s\": {:.1}, \
-             \"small_p50_ms\": {:.3}, \"small_p99_ms\": {:.3}, \"checksum\": {:.9},",
-            o.wall.as_secs_f64() * 1e3,
-            jobs_per_s(o),
-            p50(o),
-            p99(o),
-            o.checksum,
-        )?;
-        writeln!(
-            json,
-            "    \"mem_high_water_bytes\": {},",
-            o.metrics.mem_high_water_bytes
-        )?;
-        writeln!(json, "    \"stages\": [")?;
-        for (i, s) in o.metrics.stages.iter().enumerate() {
-            writeln!(
-                json,
-                "      {{\"name\": \"{}\", \"high_water\": {}, \"pushed\": {}, \
-                 \"popped\": {}, \"rejected\": {}, \"blocked\": {}}}{}",
-                s.name,
-                s.high_water,
-                s.pushed,
-                s.popped,
-                s.rejected,
-                s.blocked,
-                if i + 1 < o.metrics.stages.len() {
-                    ","
-                } else {
-                    ""
-                },
-            )?;
-        }
-        writeln!(json, "    ]")?;
-        writeln!(json, "  }},")?;
-    }
-    writeln!(json, "  \"throughput_ratio\": {ratio:.3},")?;
-    writeln!(json, "  \"small_p99_ratio\": {p99_ratio:.3},")?;
-    writeln!(
-        json,
-        "  \"checksums_match\": {}",
-        legacy.checksum.to_bits() == pipeline.checksum.to_bits(),
-    )?;
-    writeln!(json, "}}")?;
-    std::fs::write(out_path, &json)?;
-    println!("wrote {out_path}");
-
-    let races = legacy.metrics.races_detected + pipeline.metrics.races_detected;
-    if races > 0 {
-        return Err(format!("{races} SHMEM protocol races detected").into());
-    }
-    if legacy.checksum.to_bits() != pipeline.checksum.to_bits() {
-        return Err(format!(
-            "checksum mismatch: legacy {:?} vs pipeline {:?}",
-            legacy.checksum, pipeline.checksum
-        )
-        .into());
-    }
-    if let Some(min_ratio) = assert_min_ratio {
-        if ratio < min_ratio {
-            return Err(format!(
-                "pipeline throughput ratio {ratio:.3} below required minimum {min_ratio}"
-            )
-            .into());
-        }
-    }
-    if let Some(max_p99) = assert_max_p99_ratio {
-        if p99_ratio > max_p99 {
-            return Err(format!(
-                "small-job p99 ratio {p99_ratio:.3} above required maximum {max_p99}"
-            )
-            .into());
+    if let Some(min) = assert_min_ratio {
+        if speedup < min {
+            return Err(
+                format!("engine/naive throughput {speedup:.3}x below required {min}x").into(),
+            );
         }
     }
     Ok(())
